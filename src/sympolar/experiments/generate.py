@@ -20,7 +20,7 @@ from pathlib import Path
 
 from sympolar.geometry import Polytope, convex_hull, volume
 from sympolar.linalg import Vec, rank, vneg
-from sympolar.symplectic import expand_step, is_self_polar, omega, symplectic_polar
+from sympolar.symplectic import expand_step, is_self_polar, omega_rows, symplectic_polar
 
 log = logging.getLogger(__name__)
 
@@ -98,9 +98,10 @@ def sample_start_points(rng: random.Random, dim: int, k: int) -> list[Vec]:
     return accepted
 
 
-def _antipodal_pair_reps(P: Polytope) -> list[Vec]:
-    reps = {v if v > vneg(v) else vneg(v) for v in P.vertices}
-    return sorted(reps)
+def _antipodal_pair_reps(P: Polytope) -> list[tuple[Vec, tuple[int, ...]]]:
+    """The vertices of a symmetric body whose first nonzero coordinate is
+    positive, one per antipodal pair, sorted, with their integer rows."""
+    return [(v, row) for v, row in zip(P.vertices, P.rows) if v > vneg(v)]
 
 
 def random_selfpolar(
@@ -126,10 +127,10 @@ def random_selfpolar(
         polar = symplectic_polar(K)
         pairs = _antipodal_pair_reps(polar)
         rng.shuffle(pairs)
-        chosen: list[Vec] = []
-        for rep in pairs:
-            if all(abs(omega(rep, other)) <= 1 for other in chosen):
-                chosen.append(rep)
+        chosen: list[tuple[Vec, tuple[int, ...]]] = []
+        for rep, row in pairs:
+            if all(abs(omega_rows(row, other)) <= row[-1] * other[-1] for _, other in chosen):
+                chosen.append((rep, row))
         if len(chosen) == len(pairs):
             self_polar = True
             trace.append(
@@ -141,7 +142,7 @@ def random_selfpolar(
                 )
             )
             break
-        K = expand_step(K, chosen + [vneg(p) for p in chosen])
+        K = expand_step(K, [p for p, _ in chosen] + [vneg(p) for p, _ in chosen])
         trace.append(
             IterationStep(
                 polar_vertex_count=len(polar.vertices),

@@ -127,33 +127,24 @@ def enumerate_pm1(dim: int, budget: int | None = None) -> Pm1Result:
     reps = sign_vector_pairs(dim)
     adj = compatibility_adjacency(reps)
 
-    seen_polytopes: dict[tuple, tuple[bool, int, Fraction, Polytope]] = {}
     classes: dict[tuple[int, Fraction], list] = {}
     cliques_seen = 0
     rejected = 0
     for clique in maximal_cliques(adj, budget):
         cliques_seen += 1
         poly = _clique_polytope(reps, clique)
-        key = poly.vertices
-        cached = seen_polytopes.get(key)
-        if cached is None:
-            ok, witness = check_subset_sympolar(poly)
-            if not ok:
-                raise RuntimeError(
-                    f"clique polytope escaped its symplectic polar: {witness}"
-                )
-            polar = symplectic_polar(poly)
-            self_polar = check_subset_sympolar(polar)[0]
-            vol = volume(poly) if self_polar else Fraction(0)
-            cached = (self_polar, len(poly.vertices), vol, poly)
-            seen_polytopes[key] = cached
-        self_polar, vcount, vol, poly = cached
-        if not self_polar:
+        ok, witness = check_subset_sympolar(poly)
+        if not ok:
+            raise RuntimeError(
+                f"clique polytope escaped its symplectic polar: {witness}"
+            )
+        if not check_subset_sympolar(symplectic_polar(poly))[0]:
             rejected += 1
             continue
-        entry = classes.get((vcount, vol))
+        key = (len(poly.vertices), volume(poly))
+        entry = classes.get(key)
         if entry is None:
-            classes[(vcount, vol)] = [1, poly]
+            classes[key] = [1, poly]
         else:
             entry[0] += 1
 

@@ -1,9 +1,16 @@
-"""Exact rational polyhedral kernel.
+"""Exact polyhedral kernel.
 
 Provides full-dimensional polytopes with canonical vertex and facet
 representations, convex hulls, polar duals, exact volumes, gauges, shadows,
-and linear images.  Everything is computed over ``Fraction``; there is no
-floating-point fallback anywhere in this module.
+and linear images.  There is no floating-point fallback anywhere.
+
+The API speaks ``Fraction``; inside, each polytope keeps one integer form
+(see ``linalg``): every vertex is a primitive homogeneous row (V, d) with
+v = V/d and d > 0, every facet <a, x> <= b a primitive row (a, -b), and the
+facet-vertex incidence a bitmask per facet.  A vertex is on a facet when
+the integer dot product of their rows is 0 and inside it when it is <= 0.
+The incidence is computed once per hull, by the exact consistency check,
+and reused by the face lattice, the volume and the polar.
 
 Facet enumeration uses incremental insertion of halfspaces in the
 double-description style on the homogenization cone, which is robust under
@@ -14,29 +21,31 @@ the heavy degeneracies of the symmetric polytopes this kernel targets
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
 from sympolar.linalg import (
     Vec,
-    affine_rank,
     as_vec,
-    det,
+    dehomogenize,
     dot,
     fraction_vec_to_int,
+    homogeneous,
+    independent_rows,
+    int_det,
     int_dot,
     invert,
     is_zero_vec,
     primitive,
-    rank,
     transpose,
-    vneg,
-    vsub,
 )
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+Row = tuple[int, ...]
 
 
 class GeometryError(ValueError):
@@ -63,9 +72,9 @@ class UnboundedRegionError(GeometryError):
     """A halfspace system describes an unbounded or empty region."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HalfSpace:
-    """The set {x : <normal, x> <= offset}."""
+    """The set {x : <normal, x> <= offset}; halfspaces sort by (normal, offset)."""
 
     normal: Vec
     offset: Fraction
@@ -81,42 +90,69 @@ class HalfSpace:
         return dot(self.normal, point) == self.offset
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _antipode(row: Row) -> Row:
+    """The homogeneous row of -v, for the row of v."""
+    return tuple(-c for c in row[:-1]) + row[-1:]
+
+
 class Polytope:
     """Immutable full-dimensional convex polytope with exact rational data.
 
     ``vertices`` holds exactly the extreme points, each reduced to lowest
     terms and sorted lexicographically; polytope equality is equality of
-    these canonical lists.  The facet list is computed lazily and cached;
+    these canonical lists.  ``rows`` holds the same vertices as homogeneous
+    integer rows, ``facet_rows`` the facets as integer rows (in no particular
+    order) and ``incidence``, per facet row, the bitmask of the indices of
+    the vertices on it.  The ``Fraction`` facets are made on first use;
     recomputation under concurrent access yields an identical value, so the
     cache is race-free.
     """
 
-    __slots__ = ("dim", "vertices", "symmetric", "_facets")
+    __slots__ = ("dim", "vertices", "rows", "facet_rows", "incidence", "symmetric", "_facets")
 
-    def __init__(self, dim: int, vertices: tuple[Vec, ...], facets=None):
+    def __init__(self, dim: int, vertices: tuple[Vec, ...], rows, facet_rows, incidence):
         self.dim = dim
         self.vertices = vertices
-        self.symmetric = set(vertices) == {vneg(v) for v in vertices}
-        self._facets = facets
+        self.rows = rows
+        self.facet_rows = facet_rows
+        self.incidence = incidence
+        row_set = set(rows)
+        self.symmetric = all(_antipode(r) in row_set for r in rows)
+        self._facets = None
+
+    def _halfspaces(self) -> list[HalfSpace]:
+        """Facet halfspaces, scaled to offset 1 when the origin is interior,
+        otherwise to a primitive integer normal."""
+        if self.origin_interior():
+            return [HalfSpace(dehomogenize(f[:-1] + (-f[-1],)), ONE) for f in self.facet_rows]
+        return [HalfSpace(as_vec(f[:-1]), Fraction(-f[-1])) for f in self.facet_rows]
 
     @property
     def facets(self) -> tuple[HalfSpace, ...]:
         if self._facets is None:
-            self._facets = _facets_from_vertices(self.vertices, self.dim)
+            self._facets = tuple(sorted(self._halfspaces()))
         return self._facets
 
     def contains(self, point: Vec) -> bool:
-        return all(f.contains(point) for f in self.facets)
+        row = homogeneous(as_vec(point))
+        return all(int_dot(f, row) <= 0 for f in self.facet_rows)
 
     def origin_interior(self) -> bool:
-        return all(f.offset > 0 for f in self.facets)
+        return all(f[-1] < 0 for f in self.facet_rows)
 
     def facet_vertex_sets(self) -> tuple[frozenset[int], ...]:
-        """For each facet, the indices of the vertices lying on it."""
-        return tuple(
-            frozenset(i for i, v in enumerate(self.vertices) if f.is_tight(v))
-            for f in self.facets
-        )
+        """For each facet, in the order of ``facets``, the indices of the
+        vertices lying on it."""
+        pairs = sorted(zip(self._halfspaces(), self.incidence))
+        return tuple(frozenset(_bits(mask)) for _, mask in pairs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polytope):
@@ -134,11 +170,21 @@ class Polytope:
 # Double description: vertex enumeration of a bounded halfspace intersection.
 
 
+def _halfspace_rows(halfspaces: Sequence[tuple[Vec, Fraction]]) -> list[Row]:
+    """Distinct primitive rows (a, -b) of the halfspaces <a, x> <= b."""
+    if any(is_zero_vec(normal) for normal, _ in halfspaces):
+        raise GeometryError("halfspace normal must be nonzero")
+    return list(
+        dict.fromkeys(fraction_vec_to_int(as_vec(a) + (-Fraction(b),)) for a, b in halfspaces)
+    )
+
+
 def vertex_enumeration(
-    halfspaces: Sequence[tuple[Vec, Fraction]], dim: int
-) -> list[Vec]:
+    halfspaces: Sequence[tuple[Vec, Fraction]], dim: int, *, integer_rows: bool = False
+) -> list[Vec] | list[Row]:
     """Vertices of {x : <a_i, x> <= b_i}, which must be a bounded full-dimensional
-    polytope.
+    polytope.  With ``integer_rows`` the halfspaces are distinct primitive
+    integer rows (a, -b) and the vertices come back as homogeneous rows.
 
     Works on the homogenization cone {(x, t) : b_i t - <a_i, x> >= 0, t >= 0},
     inserting constraints incrementally and maintaining the extreme rays with
@@ -146,19 +192,11 @@ def vertex_enumeration(
     infinity survives and GeometryError when the system cannot describe a
     full-dimensional bounded body.
     """
-    rows: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for normal, offset in halfspaces:
-        if is_zero_vec(normal):
-            raise GeometryError("halfspace normal must be nonzero")
-        row = fraction_vec_to_int(tuple(-c for c in normal) + (Fraction(offset),))
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
+    rows = [tuple(-c for c in f) for f in (halfspaces if integer_rows else _halfspace_rows(halfspaces))]
     rows.append((0,) * dim + (1,))  # homogenization: t >= 0
 
     n = dim + 1
-    basis = _independent_rows(rows, n)
+    basis = independent_rows(rows, n)
     if len(basis) < n:
         raise GeometryError(
             "halfspace normals do not span the ambient space (region is "
@@ -168,8 +206,7 @@ def vertex_enumeration(
     ordered = [rows[i] for i in order]
 
     inverse = invert([[Fraction(c) for c in ordered[i]] for i in range(n)])
-    columns = transpose(inverse)
-    rays: list[tuple[int, ...]] = [fraction_vec_to_int(col) for col in columns]
+    rays: list[Row] = [fraction_vec_to_int(col) for col in transpose(inverse)]
     full_mask = (1 << n) - 1
     masks: list[int] = [full_mask & ~(1 << j) for j in range(n)]
 
@@ -183,20 +220,16 @@ def vertex_enumeration(
         plus = [i for i, v in enumerate(vals) if v > 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
-        fresh: list[tuple[int, ...]] = []
+        fresh: list[Row] = []
         fresh_masks: list[int] = []
         for p in plus:
             zp = masks[p]
             for m in minus:
                 zpn = zp & masks[m]
-                if _popcount(zpn) < dim - 1:
+                if zpn.bit_count() < dim - 1:
                     continue
-                adjacent = True
-                for k, zk in enumerate(masks):
-                    if k != p and k != m and (zk & zpn) == zpn:
-                        adjacent = False
-                        break
-                if not adjacent:
+                # adjacent unless a third ray is tight on all of their constraints
+                if any((zk & zpn) == zpn for k, zk in enumerate(masks) if k != p and k != m):
                     continue
                 combo = primitive(
                     [vals[p] * rm - vals[m] * rp for rp, rm in zip(rays[p], rays[m])]
@@ -211,129 +244,121 @@ def vertex_enumeration(
         if not rays:
             raise GeometryError("halfspace system has empty interior")
 
-    points: list[Vec] = []
     for ray in rays:
-        t = ray[dim]
-        if t == 0:
+        if ray[dim] == 0:
             raise UnboundedRegionError("region is unbounded")
-        if t < 0:
+        if ray[dim] < 0:
             raise GeometryError("inconsistent homogenization ray")
-        points.append(tuple(Fraction(c, t) for c in ray[:dim]))
-    return points
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-def _independent_rows(rows: Sequence[Sequence[int]], needed: int) -> list[int]:
-    chosen: list[int] = []
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for i, row in enumerate(rows):
-        work = [Fraction(c) for c in row]
-        for base, p in zip(reduced, pivots):
-            if work[p] != 0:
-                factor = work[p] / base[p]
-                for k in range(len(work)):
-                    work[k] -= factor * base[k]
-        pivot = next((k for k, c in enumerate(work) if c != 0), None)
-        if pivot is not None:
-            chosen.append(i)
-            reduced.append(work)
-            pivots.append(pivot)
-            if len(chosen) == needed:
-                break
-    return chosen
+    return rays if integer_rows else [dehomogenize(ray) for ray in rays]
 
 
 # ---------------------------------------------------------------------------
 # Canonical construction.
 
 
-def _canonical_facets(
-    halfspaces: Iterable[tuple[Vec, Fraction]]
-) -> tuple[HalfSpace, ...]:
-    """Scale facets canonically: to offset 1 when the origin is interior,
-    otherwise to a primitive integer normal (orientation preserved)."""
-    pairs = [(as_vec(a), Fraction(b)) for a, b in halfspaces]
-    if all(b > 0 for _, b in pairs):
-        scaled = [HalfSpace(tuple(c / b for c in a), ONE) for a, b in pairs]
-    else:
-        scaled = []
-        for a, b in pairs:
-            ints = fraction_vec_to_int(a + (b,))
-            scaled.append(
-                HalfSpace(tuple(Fraction(c) for c in ints[:-1]), Fraction(ints[-1]))
-            )
-    return tuple(sorted(scaled, key=lambda h: (h.normal, h.offset)))
+def _incidence(rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...]:
+    """Per facet row, the bitmask of the point rows on it; raises
+    GeometryError when a point lies outside a facet."""
+    masks = []
+    for f in facet_rows:
+        mask = 0
+        for i, r in enumerate(rows):
+            s = int_dot(f, r)
+            if s > 0:
+                raise GeometryError(f"vertex {dehomogenize(r)} violates facet row {f}")
+            if s == 0:
+                mask |= 1 << i
+        masks.append(mask)
+    return tuple(masks)
 
 
-def _check_consistency(dim, vertices, facets):
-    for v in vertices:
-        for f in facets:
-            if not f.contains(v):
-                raise GeometryError(
-                    f"vertex {v} violates facet {f.normal} <= {f.offset}"
-                )
-    for f in facets:
-        tight = [v for v in vertices if f.is_tight(v)]
-        if affine_rank(tight) != dim - 1:
+def _spans_facet(rows: Sequence[Row], mask: int, dim: int) -> bool:
+    """Whether the points of ``mask``, which lie on one hyperplane, span a
+    (dim-1)-dimensional affine space: their rows have rank dim."""
+    return len(independent_rows([rows[i] for i in _bits(mask)], dim)) == dim
+
+
+def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...]:
+    """Check that every point lies inside every facet and that every facet
+    is spanned by a (dim-1)-dimensional set of points on it; returns the
+    incidence."""
+    incidence = _incidence(rows, facet_rows)
+    for f, mask in zip(facet_rows, incidence):
+        if not _spans_facet(rows, mask, dim):
             raise GeometryError(
-                f"facet {f.normal} <= {f.offset} is not supported by a "
-                f"(dim-1)-dimensional vertex set"
+                f"facet row {f} is not supported by a (dim-1)-dimensional vertex set"
             )
+    return incidence
+
+
+def _polytope(dim: int, points: Sequence[Vec], rows, facet_rows, incidence, keep) -> Polytope:
+    """Polytope on the points indexed by ``keep``, sorted; the incidence is
+    renumbered to the sorted vertex list."""
+    keep = sorted(keep, key=points.__getitem__)
+    position = {i: j for j, i in enumerate(keep)}
+    renumbered = []
+    for mask in incidence:
+        new = 0
+        for i in _bits(mask):
+            if i in position:
+                new |= 1 << position[i]
+        renumbered.append(new)
+    return Polytope(
+        dim,
+        tuple(points[i] for i in keep),
+        tuple(rows[i] for i in keep),
+        tuple(facet_rows),
+        tuple(renumbered),
+    )
 
 
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
     """Canonical polytope spanned by the given points.
 
-    The result's vertex list is exactly the set of extreme points; the facet
-    cache is populated.  Raises DimensionDeficiencyError when the points do
-    not affinely span the ambient space.
+    The result's vertex list is exactly the set of extreme points.  Raises
+    DimensionDeficiencyError when the points do not affinely span the
+    ambient space.
+
+    For an interior point c, the points q of P - c cut out the polar body
+    {u : <q, u> <= 1}, whose vertices u are the facets <u, x - c> <= 1 of P.
+    c is the origin for a symmetric point set and otherwise the centroid of
+    dim+1 affinely independent points, whose denominator stays small.
     """
-    pts: list[Vec] = []
-    seen: set[Vec] = set()
-    for p in points:
-        v = as_vec(p)
-        if v not in seen:
-            seen.add(v)
-            pts.append(v)
+    pts = list(dict.fromkeys(as_vec(p) for p in points))
     if not pts:
         raise GeometryError("no points given")
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise GeometryError("points have mixed dimensions")
-    adim = affine_rank(pts)
-    if adim != dim:
-        raise DimensionDeficiencyError(dim, adim)
+    rows = [homogeneous(p) for p in pts]
+    basis = independent_rows(rows, dim + 1)
+    if len(basis) <= dim:
+        raise DimensionDeficiencyError(dim, len(basis) - 1)
+    row_set = set(rows)
+    if all(_antipode(r) in row_set for r in rows):
+        center, m = [0] * dim, 1
+    else:
+        scale = lcm(*(rows[i][-1] for i in basis))
+        center = [sum(rows[i][k] * (scale // rows[i][-1]) for i in basis) for k in range(dim)]
+        m = scale * len(basis)  # c = center / m
+    shifted = []
+    for r in rows:
+        q = primitive([m * x - c * r[-1] for x, c in zip(r, center)] + [-m * r[-1]])
+        if any(q[:-1]):  # a point at c is interior; its constraint is vacuous
+            shifted.append(q)
+    facet_rows = [
+        primitive([m * a for a in u[:-1]] + [-m * u[-1] - int_dot(u[:-1], center)])
+        for u in vertex_enumeration(shifted, dim, integer_rows=True)
+    ]
+    incidence = _check_consistency(dim, rows, facet_rows)
 
-    center = tuple(sum(p[k] for p in pts) * Fraction(1, len(pts)) for k in range(dim))
-    # a point equal to the centroid is interior; its polar constraint is vacuous
-    shifted = [q for q in (vsub(p, center) for p in pts) if not is_zero_vec(q)]
-    normals = vertex_enumeration([(q, ONE) for q in shifted], dim)
-    facets = _canonical_facets(
-        [(a, ONE + dot(a, center)) for a in normals]
-    )
-
-    vertices = []
-    for p in pts:
-        tight = [f.normal for f in facets if f.is_tight(p)]
-        if len(tight) >= dim and rank(tight) == dim:
-            vertices.append(p)
-    vertices.sort()
-    poly = Polytope(dim, tuple(vertices), facets)
-    _check_consistency(dim, poly.vertices, facets)
-    return poly
-
-
-def _facets_from_vertices(vertices: tuple[Vec, ...], dim: int) -> tuple[HalfSpace, ...]:
-    center = tuple(
-        sum(v[k] for v in vertices) * Fraction(1, len(vertices)) for k in range(dim)
-    )
-    shifted = [q for q in (vsub(v, center) for v in vertices) if not is_zero_vec(q)]
-    normals = vertex_enumeration([(q, ONE) for q in shifted], dim)
-    return _canonical_facets([(a, ONE + dot(a, center)) for a in normals])
+    # A point is extreme exactly when the facets through it meet in it alone.
+    meet = [-1] * len(pts)
+    for mask in incidence:
+        for i in _bits(mask):
+            meet[i] &= mask
+    keep = [i for i in range(len(pts)) if meet[i] == 1 << i]
+    return _polytope(dim, pts, rows, facet_rows, incidence, keep)
 
 
 def from_halfspaces(
@@ -341,24 +366,46 @@ def from_halfspaces(
 ) -> Polytope:
     """Canonical polytope for a bounded halfspace system; redundant
     halfspaces are pruned by an exact tightness-rank test."""
-    points = vertex_enumeration(halfspaces, dim)
-    if affine_rank(points) != dim:
-        raise DimensionDeficiencyError(dim, affine_rank(points))
-    vertices = tuple(sorted(points))
-    kept = []
-    for a, b in halfspaces:
-        av = as_vec(a)
-        tight = [v for v in vertices if dot(av, v) == b]
-        if len(tight) >= dim and affine_rank(tight) == dim - 1:
-            kept.append((av, Fraction(b)))
-    facets = _canonical_facets(kept)
-    poly = Polytope(dim, vertices, facets)
-    _check_consistency(dim, vertices, facets)
-    return poly
+    candidates = _halfspace_rows(halfspaces)
+    rows = vertex_enumeration(candidates, dim, integer_rows=True)
+    affine_dim = len(independent_rows(rows, dim + 1)) - 1
+    if affine_dim != dim:
+        raise DimensionDeficiencyError(dim, affine_dim)
+    kept = [
+        (f, mask)
+        for f, mask in zip(candidates, _incidence(rows, candidates))
+        if _spans_facet(rows, mask, dim)
+    ]
+    points = [dehomogenize(r) for r in rows]
+    return _polytope(dim, points, rows, *zip(*kept), range(len(rows)))
 
 
 # ---------------------------------------------------------------------------
 # Operations.
+
+
+def _polar(P: Polytope, coords: Sequence[tuple[int, int]]) -> Polytope:
+    """The polar body of P followed by the signed coordinate permutation
+    whose output coordinate k is ``sign * x[index]``, ``coords[k] = (sign, index)``.
+
+    No hull is computed: the polar's vertex rows are P's facet rows
+    (a, -b) read as (a, b), its facet rows are P's vertex rows (V, d) read
+    as (V, -d), and its incidence is P's, transposed.  A signed permutation
+    is orthogonal, so it moves vertex and facet rows alike.
+    """
+    if not P.origin_interior():
+        raise PolarityDomainError("origin is not interior to the polytope")
+
+    def move(row: Row) -> Row:
+        return tuple(s * row[k] for s, k in coords) + (-row[-1],)
+
+    transposed = [0] * len(P.rows)
+    for j, mask in enumerate(P.incidence):
+        for i in _bits(mask):
+            transposed[i] |= 1 << j
+    rows = [move(f) for f in P.facet_rows]
+    points = [dehomogenize(r) for r in rows]
+    return _polytope(P.dim, points, rows, [move(r) for r in P.rows], transposed, range(len(rows)))
 
 
 def polar_dual(P: Polytope) -> Polytope:
@@ -368,27 +415,23 @@ def polar_dual(P: Polytope) -> Polytope:
     the dual's vertices are P's canonical facet normals and its facets are
     P's vertices at offset 1.
     """
-    if not P.origin_interior():
-        raise PolarityDomainError("origin is not interior to the polytope")
-    vertices = tuple(sorted(f.normal for f in P.facets))
-    facets = _canonical_facets([(v, ONE) for v in P.vertices])
-    return Polytope(P.dim, vertices, facets)
+    return _polar(P, [(1, k) for k in range(P.dim)])
 
 
 def apply_linear(matrix: Sequence[Sequence], P: Polytope) -> Polytope:
-    """Image of P under an invertible linear map, re-canonicalized."""
+    """Image of P under an invertible linear map, re-canonicalized; facets
+    map by the inverse transpose and the incidence carries over."""
     M = tuple(as_vec(row) for row in matrix)
     if len(M) != P.dim or any(len(row) != P.dim for row in M):
         raise GeometryError("matrix shape does not match the polytope dimension")
-    inv = invert(M)  # SingularMatrixError for singular input
-    vertices = tuple(sorted(tuple(dot(row, v) for row in M) for v in P.vertices))
-    facets = None
-    if P._facets is not None:
-        inv_t = transpose(inv)
-        facets = _canonical_facets(
-            [(tuple(dot(row, f.normal) for row in inv_t), f.offset) for f in P.facets]
-        )
-    return Polytope(P.dim, vertices, facets)
+    inv_t = transpose(invert(M))  # SingularMatrixError for singular input
+    points = [tuple(dot(row, v) for row in M) for v in P.vertices]
+    facet_rows = [
+        fraction_vec_to_int(tuple(dot(row, as_vec(f[:-1])) for row in inv_t) + (Fraction(f[-1]),))
+        for f in P.facet_rows
+    ]
+    rows = [homogeneous(p) for p in points]
+    return _polytope(P.dim, points, rows, facet_rows, P.incidence, range(len(rows)))
 
 
 def gauge_norm(P: Polytope, x: Sequence) -> Fraction:
@@ -405,16 +448,17 @@ def gauge_norm(P: Polytope, x: Sequence) -> Fraction:
 def volume(P: Polytope) -> Fraction:
     """Exact Lebesgue volume, by a pulling triangulation: fan from the
     lexicographically smallest vertex of every face over its recursively
-    triangulated facets, one determinant per simplex."""
+    triangulated facets, one determinant per simplex.  The determinant of a
+    simplex's homogeneous vertex rows (V_i, d_i) is d_0 ... d_dim times that
+    of its edge vectors."""
     verts = P.vertices
     d = P.dim
     if d == 1:
         return verts[-1][0] - verts[0][0]
     total = ZERO
     for simplex in _pulling_triangulation(P):
-        base = verts[simplex[0]]
-        mat = [vsub(verts[i], base) for i in simplex[1:]]
-        total += abs(det(mat))
+        corners = [P.rows[i] for i in simplex]
+        total += Fraction(abs(int_det(corners)), prod(r[-1] for r in corners))
     return total / factorial(d)
 
 
@@ -423,26 +467,23 @@ def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
 
     Level k-1 is generated from pairwise intersections of level-k faces,
     which is exhaustive because every (k-1)-face of a polytope is the
-    intersection of two k-faces.
+    intersection of two k-faces; an intersection is a (k-1)-face when its
+    vertex rows have rank k.
     """
-    verts = P.vertices
-    levels: dict[int, list[frozenset[int]]] = {}
-    facet_sets = sorted(set(P.facet_vertex_sets()), key=sorted)
-    levels[P.dim - 1] = list(facet_sets)
+    levels = {P.dim - 1: sorted(set(P.incidence))}
     for k in range(P.dim - 1, 1, -1):
         faces = levels[k]
-        found: set[frozenset[int]] = set()
-        ordered: list[frozenset[int]] = []
-        for i in range(len(faces)):
-            for j in range(i + 1, len(faces)):
-                g = faces[i] & faces[j]
-                if len(g) < k or g in found:
-                    continue
-                if affine_rank([verts[t] for t in g]) == k - 1:
-                    found.add(g)
-                    ordered.append(g)
-        levels[k - 1] = sorted(ordered, key=sorted)
-    return levels
+        tested: dict[int, bool] = {}
+        for i, f in enumerate(faces):
+            for g in faces[i + 1 :]:
+                h = f & g
+                if h not in tested and h.bit_count() >= k:
+                    tested[h] = len(independent_rows([P.rows[t] for t in _bits(h)], k)) == k
+        levels[k - 1] = [h for h, is_face in tested.items() if is_face]
+    return {
+        k: sorted((frozenset(_bits(mask)) for mask in level), key=sorted)
+        for k, level in levels.items()
+    }
 
 
 def f_vector(P: Polytope) -> tuple[int, ...]:
@@ -453,44 +494,25 @@ def f_vector(P: Polytope) -> tuple[int, ...]:
     return (len(P.vertices),) + tuple(len(levels[k]) for k in range(1, P.dim))
 
 
-def _pulling_triangulation(P: Polytope):
+def _pulling_triangulation(P: Polytope) -> list[tuple[int, ...]]:
     """Simplices of the fan triangulation as (dim+1)-tuples of vertex indices."""
-    d = P.dim
-    levels = face_lattice(P) if d >= 2 else {}
-    children_of: dict[frozenset[int], list[frozenset[int]]] = {}
-    for k in range(2, d):
-        lower = levels[k - 1]
-        for face in levels[k]:
-            children_of[face] = [g for g in lower if g <= face]
-    memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    levels = face_lattice(P)
 
+    @cache
     def tri(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
         if k == 1:
-            lo, hi = sorted(face)
-            return [(lo, hi)]
-        cached = memo.get(face)
-        if cached is not None:
-            return cached
-        apex = min(face)
-        out: list[tuple[int, ...]] = []
-        for child in children_of[face]:
-            if apex in child:
-                continue
-            for s in tri(child, k - 1):
-                out.append((apex,) + s)
-        memo[face] = out
-        return out
+            return [tuple(sorted(face))]
+        apex = min(face)  # vertices are sorted, so this is the lex-smallest
+        return [
+            (apex,) + s
+            for child in levels[k - 1]
+            if child <= face and apex not in child
+            for s in tri(child, k - 1)
+        ]
 
-    apex = 0  # vertices are sorted, so index 0 is the lex-smallest vertex
-    result: list[tuple[int, ...]] = []
-    for facet in levels[d - 1]:
-        if apex in facet:
-            continue
-        if d - 1 >= 2:
-            children_of.setdefault(facet, [g for g in levels[d - 2] if g <= facet])
-        for s in tri(facet, d - 1):
-            result.append((apex,) + s)
-    return result
+    simplices = tri(frozenset(range(len(P.vertices))), P.dim)
+    tri.cache_clear()  # tri refers to itself, a cycle that would keep the memo alive
+    return simplices
 
 
 def shadow_area(P: Polytope) -> Fraction:

@@ -1,14 +1,22 @@
-"""Exact rational linear algebra for the polyhedral kernel.
+"""Exact linear algebra for the polyhedral kernel.
 
-Vectors are plain tuples of ``Fraction`` and matrices are tuples of row
-vectors, so every geometric object is immutable, hashable, and sorts
-lexicographically without extra machinery.
+The API speaks ``Fraction``: vectors are plain tuples of ``Fraction`` and
+matrices are tuples of row vectors, so every geometric object is immutable,
+hashable, and sorts lexicographically without extra machinery.
+
+Inside the kernel, points and hyperplanes are exact integer homogeneous
+rows.  A rational point ``v`` becomes the primitive row ``(V, d)`` with
+``v = V/d`` and ``d > 0`` (``homogeneous``), a halfspace ``<a, x> <= b``
+the primitive row ``(a, -b)``; incidence is then the sign of ``int_dot``,
+ranks come from fraction-free elimination (``independent_rows``) and
+determinants from Bareiss elimination (``int_det``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -26,10 +34,6 @@ def as_vec(coords: Iterable) -> Vec:
     return tuple(Fraction(c) for c in coords)
 
 
-def as_matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(as_vec(row) for row in rows)
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
@@ -39,70 +43,27 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vneg(u: Vec) -> Vec:
     return tuple(-a for a in u)
-
-
-def vscale(c: Fraction, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
 
 
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
-def mat_vec(rows: Matrix, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in rows)
-
-
 def transpose(rows: Matrix) -> Matrix:
     return tuple(zip(*rows))
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-    )
+def rank(rows: Iterable[Sequence]) -> int:
+    """Rank of a collection of rational row vectors."""
+    return len(independent_rows([fraction_vec_to_int(as_vec(row)) for row in rows]))
 
 
-def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    """Rank of a collection of row vectors, by fraction-free-ish elimination."""
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        work = list(row)
-        for base, p in zip(reduced, pivots):
-            if work[p] != 0:
-                factor = work[p] / base[p]
-                for k in range(len(work)):
-                    work[k] -= factor * base[k]
-        pivot = next((k for k, c in enumerate(work) if c != 0), None)
-        if pivot is not None:
-            reduced.append(work)
-            pivots.append(pivot)
-    return len(reduced)
-
-
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine hull of the given points."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return rank([vsub(tuple(p), tuple(base)) for p in points[1:]])
-
-
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
-    """Solve a square linear system exactly; returns None when singular."""
+def _gauss_jordan(matrix: Sequence[Sequence[Fraction]], extra: Sequence[Sequence[Fraction]]):
+    """Reduce [matrix | extra] to [I | matrix^-1 extra]; None when singular."""
     n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    aug = [list(row) + list(tail) for row, tail in zip(matrix, extra)]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot_row is None:
@@ -114,58 +75,36 @@ def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec 
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [c - factor * p for c, p in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
+    return [tuple(row[n:]) for row in aug]
+
+
+def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
+    """Solve a square linear system exactly; returns None when singular."""
+    reduced = _gauss_jordan(matrix, [(b,) for b in rhs])
+    return None if reduced is None else tuple(row[0] for row in reduced)
 
 
 def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
     n = len(matrix)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [c - factor * p for c, p in zip(aug[r], aug[col])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
+    reduced = _gauss_jordan(
+        matrix, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    )
+    if reduced is None:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(reduced)
 
 
-def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(matrix)
-    work = [list(row) for row in matrix]
-    result = ONE
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            result = -result
-        result *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] * inv
-                work[r] = [c - factor * p for c, p in zip(work[r], work[col])]
-    return result
+# ---------------------------------------------------------------------------
+# Integer rows.
 
-
-# Integer helpers for the double-description engine, where rays are kept as
-# primitive integer vectors to avoid Fraction overhead in the hot loops.
 
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """Divide out the gcd; the orientation of the vector is preserved."""
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    g = gcd(*ints)
     if g in (0, 1):
         return tuple(ints)
     return tuple(c // g for c in ints)
@@ -173,10 +112,44 @@ def primitive(ints: Sequence[int]) -> tuple[int, ...]:
 
 def fraction_vec_to_int(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor to a primitive integer one."""
-    scale = 1
-    for c in vec:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    return primitive([int(c * scale) for c in vec])
+    scale = lcm(*(c.denominator for c in vec))
+    return primitive([c.numerator * (scale // c.denominator) for c in vec])
+
+
+def homogeneous(point: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer row ``(V, d)`` with ``point = V/d`` and ``d > 0``;
+    ``d`` is the least common denominator, so the row is primitive."""
+    d = lcm(*(c.denominator for c in point))
+    return tuple(c.numerator * (d // c.denominator) for c in point) + (d,)
+
+
+def dehomogenize(row: Sequence[int]) -> Vec:
+    """The rational point ``V/d`` of a homogeneous row ``(V, d)``."""
+    return tuple(Fraction(c, row[-1]) for c in row[:-1])
+
+
+def independent_rows(rows: Sequence[Sequence[int]], stop: int | None = None) -> list[int]:
+    """Indices of the rows that raise the rank when taken in order, by
+    fraction-free elimination; the count is the rank.  Scanning ends once
+    ``stop`` rows are found, which callers use when the rank is known not to
+    exceed ``stop``."""
+    reduced: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row)
+    chosen: list[int] = []
+    for i, row in enumerate(rows):
+        work = row
+        for p, base in reduced:
+            c = work[p]
+            if c:
+                b = base[p]
+                work = [b * x - c * y for x, y in zip(work, base)]
+        pivot = next((k for k, c in enumerate(work) if c), None)
+        if pivot is None:
+            continue
+        chosen.append(i)
+        if len(chosen) == stop:
+            break
+        reduced.append((pivot, primitive(work)))
+    return chosen
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:

@@ -147,7 +147,7 @@ def power_suspend(n: int, cache_dir: Path | str | None = None) -> Polytope:
 
     Levels are cached in memory and on disk (shared polytope JSON format,
     one file per level, written atomically); a cached file failing the
-    vertex-count check is recomputed and rewritten.
+    vertex-count or the self-polarity check is recomputed and rewritten.
     """
     if n < 1:
         raise ValueError("suspension power must be >= 1")
@@ -179,6 +179,8 @@ def _load_cached_level(directory: Path, level: int) -> Polytope | None:
     except MalformedInputError:
         return None
     if poly.dim != 2 * level or len(poly.vertices) != vertex_count_formula(level):
+        return None
+    if not is_self_polar(poly):
         return None
     return poly
 

@@ -3,6 +3,10 @@
 Coordinates are interleaved position/momentum pairs (q1, p1, ..., qn, pn),
 so on R^2 the form is omega((a, b), (c, d)) = a*d - b*c and the form of a
 direct sum splits blockwise.
+
+Vertex pairs are tested on the polytopes' homogeneous integer rows: for
+v = V/d and w = W/e, omega(v, w) <= 1 exactly when omega(V, W) <= d*e, so
+no ``Fraction`` is made unless a witness is reported.
 """
 
 from __future__ import annotations
@@ -10,16 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from sympolar.geometry import (
-    GeometryError,
-    Polytope,
-    apply_linear,
-    convex_hull,
-    polar_dual,
-)
-from sympolar.linalg import Vec, as_vec
-
-ONE = Fraction(1)
+from sympolar.geometry import GeometryError, Polytope, _polar, convex_hull
+from sympolar.linalg import Vec, as_vec, vneg
 
 Witness = tuple[Vec, Vec, Fraction]
 
@@ -45,6 +41,15 @@ def omega(x: Sequence, y: Sequence) -> Fraction:
     return total
 
 
+def omega_rows(x: Sequence[int], y: Sequence[int]) -> int:
+    """omega(V, W) of two homogeneous rows (V, d), (W, e); the trailing
+    homogenizing entries are ignored."""
+    total = 0
+    for i in range(0, len(x) - 1, 2):
+        total += x[i] * y[i + 1] - x[i + 1] * y[i]
+    return total
+
+
 def polar_to_sympolar_matrix(dim: int) -> tuple[Vec, ...]:
     """The linear map carrying the classical polar body onto the symplectic
     polar: blockwise (y1, y2) -> (-y2, y1).  It satisfies
@@ -64,14 +69,32 @@ def polar_to_sympolar_matrix(dim: int) -> tuple[Vec, ...]:
 
 def symplectic_polar(P: Polytope) -> Polytope:
     """The body {y : omega(x, y) <= 1 for all x in P}, for symmetric P with
-    the origin interior; computed as a fixed linear image of the polar dual."""
+    the origin interior; the image of the polar dual under the matrix of
+    ``polar_to_sympolar_matrix``, a signed coordinate permutation, applied
+    to the integer rows."""
     if P.dim % 2 != 0:
         raise GeometryError("symplectic polarity needs even dimension")
     if not P.symmetric:
         raise GeometryError(
             "symplectic polarity is only provided for centrally symmetric bodies"
         )
-    return apply_linear(polar_to_sympolar_matrix(P.dim), polar_dual(P))
+    matrix = polar_to_sympolar_matrix(P.dim)  # one nonzero entry per row
+    return _polar(P, [next((int(c), k) for k, c in enumerate(row) if c) for row in matrix])
+
+
+def _first_violation(verts, rows, both_orders: bool = True) -> Witness | None:
+    """The first vertex pair (v, w), scanning index pairs i < j, with
+    omega(v, w) > 1, or with omega(w, v) > 1 when ``both_orders``; returned
+    as (v, w, omega(v, w))."""
+    for i, x in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            y = rows[j]
+            value, bound = omega_rows(x, y), x[-1] * y[-1]
+            if value > bound:
+                return verts[i], verts[j], Fraction(value, bound)
+            if both_orders and -value > bound:
+                return verts[j], verts[i], Fraction(-value, bound)
+    return None
 
 
 def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
@@ -81,15 +104,8 @@ def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
     vertices; on failure the lexicographically first violating pair and its
     form value are returned as a witness.
     """
-    verts = P.vertices
-    for i, v in enumerate(verts):
-        for w in verts[i + 1 :]:
-            value = omega(v, w)
-            if value > 1:
-                return False, (v, w, value)
-            if -value > 1:
-                return False, (w, v, -value)
-    return True, None
+    witness = _first_violation(P.vertices, P.rows)
+    return witness is None, witness
 
 
 def is_self_polar(P: Polytope) -> bool:
@@ -100,14 +116,9 @@ def is_self_polar(P: Polytope) -> bool:
 def c_j(P: Polytope) -> Fraction:
     """Reciprocal of the largest |omega| over pairs of points of the
     symplectic polar; the bilinear maximum is attained at vertex pairs."""
-    Q = symplectic_polar(P)
-    verts = Q.vertices
-    best = Fraction(0)
-    for i, v in enumerate(verts):
-        for w in verts[i + 1 :]:
-            value = abs(omega(v, w))
-            if value > best:
-                best = value
+    rows = symplectic_polar(P).rows
+    pairs = ((x, y) for i, x in enumerate(rows) for y in rows[i + 1 :])
+    best = max((Fraction(abs(omega_rows(x, y)), x[-1] * y[-1]) for x, y in pairs), default=0)
     if best == 0:
         raise GeometryError("degenerate body: the form vanishes on the polar")
     return 1 / best
@@ -125,24 +136,20 @@ def expand_step(K: Polytope, S: Sequence[Sequence]) -> Polytope:
         )
     points = [as_vec(p) for p in S]
     point_set = set(points)
-    if {tuple(-c for c in p) for p in points} != point_set:
+    if {vneg(p) for p in points} != point_set:
         raise ExpansionError("expansion set is not centrally symmetric")
-    polar_vertices = set(symplectic_polar(K).vertices)
+    polar = symplectic_polar(K)
+    polar_rows = dict(zip(polar.vertices, polar.rows))
     for p in points:
-        if p not in polar_vertices:
+        if p not in polar_rows:
             raise ExpansionError(
                 f"expansion point {p} is not a vertex of the symplectic polar",
                 (p,),
             )
     ordered = sorted(point_set)
-    for i, v in enumerate(ordered):
-        for w in ordered[i:]:
-            value = omega(v, w)
-            if value > 1:
-                raise ExpansionError(
-                    f"expansion pair violates the form bound: {(v, w, value)}",
-                    (v, w, value),
-                )
+    witness = _first_violation(ordered, [polar_rows[p] for p in ordered], both_orders=False)
+    if witness is not None:
+        raise ExpansionError(f"expansion pair violates the form bound: {witness}", witness)
     if not points:
         return K
     grown = convex_hull(list(K.vertices) + ordered)

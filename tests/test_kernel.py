@@ -1,0 +1,222 @@
+"""Differential tests of the integer kernel against a Fraction-only reference.
+
+The reference below recomputes tightness, containment, affine rank, the face
+lattice, the pulling-triangulation volume and the symplectic containment
+witness with nothing but ``Fraction`` arithmetic on the public vertex and
+facet lists, independently of the homogeneous integer rows the kernel uses.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import factorial
+
+import pytest
+
+from sympolar.experiments import random_selfpolar
+from sympolar.geometry import (
+    GeometryError,
+    _check_consistency,
+    convex_hull,
+    f_vector,
+    polar_dual,
+    volume,
+)
+from sympolar.linalg import dehomogenize
+from sympolar.symplectic import check_subset_sympolar, symplectic_polar
+
+from conftest import random_point, random_symmetric_polytope
+
+F = Fraction
+
+
+# --- the Fraction-only reference -------------------------------------------
+
+
+def ref_value(facet, point):
+    return sum((a * x for a, x in zip(facet.normal, point)), F(0)) - facet.offset
+
+
+def ref_rank(rows):
+    reduced = []
+    for row in rows:
+        work = [F(c) for c in row]
+        for base, p in reduced:
+            if work[p] != 0:
+                factor = work[p] / base[p]
+                work = [x - factor * y for x, y in zip(work, base)]
+        pivot = next((k for k, c in enumerate(work) if c != 0), None)
+        if pivot is not None:
+            reduced.append((work, pivot))
+    return len(reduced)
+
+
+def ref_affine_rank(points):
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    return ref_rank([[a - b for a, b in zip(p, base)] for p in points[1:]])
+
+
+def ref_det(matrix):
+    work = [[F(c) for c in row] for row in matrix]
+    n, result = len(work), F(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            result = -result
+        result *= work[col][col]
+        for r in range(col + 1, n):
+            factor = work[r][col] / work[col][col]
+            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return result
+
+
+def ref_facet_vertex_sets(P):
+    return tuple(
+        frozenset(i for i, v in enumerate(P.vertices) if ref_value(f, v) == 0)
+        for f in P.facets
+    )
+
+
+def ref_face_lattice(P):
+    levels = {P.dim - 1: sorted(set(ref_facet_vertex_sets(P)), key=sorted)}
+    for k in range(P.dim - 1, 1, -1):
+        found = set()
+        for a, b in combinations(levels[k], 2):
+            g = a & b
+            if len(g) >= k and ref_affine_rank([P.vertices[t] for t in g]) == k - 1:
+                found.add(g)
+        levels[k - 1] = sorted(found, key=sorted)
+    return levels
+
+
+def ref_volume(P):
+    """Pulling triangulation over the reference lattice, Fraction determinants."""
+    levels = ref_face_lattice(P)
+    verts = P.vertices
+
+    def simplices(face, k):
+        if k == 1:
+            return [tuple(sorted(face))]
+        apex = min(face)
+        out = []
+        for child in levels[k - 1]:
+            if child <= face and apex not in child:
+                out += [(apex,) + s for s in simplices(child, k - 1)]
+        return out
+
+    total = F(0)
+    for s in simplices(frozenset(range(len(verts))), P.dim):
+        base = verts[s[0]]
+        total += abs(ref_det([[a - b for a, b in zip(verts[i], base)] for i in s[1:]]))
+    return total / factorial(P.dim)
+
+
+def ref_check_subset_sympolar(P):
+    def omega(x, y):
+        return sum((x[i] * y[i + 1] - x[i + 1] * y[i] for i in range(0, len(x), 2)), F(0))
+
+    for i, v in enumerate(P.vertices):
+        for w in P.vertices[i + 1 :]:
+            value = omega(v, w)
+            if value > 1:
+                return False, (v, w, value)
+            if -value > 1:
+                return False, (w, v, -value)
+    return True, None
+
+
+# --- bodies -----------------------------------------------------------------
+
+
+def small_bodies():
+    rng = random.Random(2310)
+    bodies = [random_symmetric_polytope(rng, dim) for dim in (2, 2, 2, 4, 4, 4)]
+    while len(bodies) < 9:  # not symmetric, with interior and repeated points
+        pts = [random_point(rng, 3, span=2) for _ in range(9)]
+        try:
+            bodies.append(convex_hull(pts + pts[:2] + [(0, 0, 0)]))
+        except GeometryError:
+            continue
+    shrunk = [
+        convex_hull([tuple(c / 4 for c in v) for v in P.vertices])
+        for P in bodies[:6]
+    ]
+    # hexagon x octahedron: the facets H x f, H x g over two octahedron
+    # facets that share one vertex v meet in the hexagon H x {v}, which has
+    # enough vertices to pass for a ridge and is told apart only by its rank
+    octahedron = [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+    hexagon = [(1, 1), (1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1)]
+    product = convex_hull([h + o for h in hexagon for o in octahedron])
+    return bodies + shrunk + [product]
+
+
+BODIES = small_bodies()
+
+
+@pytest.fixture(scope="module")
+def generated():
+    """A generated self-polar body: per-vertex denominators that differ and
+    run past 100 digits."""
+    return random_selfpolar(4, 10, 8).final
+
+
+def assert_kernel_matches_reference(P):
+    assert tuple(dehomogenize(r) for r in P.rows) == P.vertices
+    assert all(r[-1] > 0 for r in P.rows)
+    for v in P.vertices:
+        assert all(ref_value(f, v) <= 0 for f in P.facets)
+        assert P.contains(v)
+    sets = P.facet_vertex_sets()
+    assert sets == ref_facet_vertex_sets(P)
+    for s in sets:
+        assert ref_affine_rank([P.vertices[i] for i in s]) == P.dim - 1
+    assert f_vector(P)[1:] == tuple(len(ref_face_lattice(P)[k]) for k in range(1, P.dim))
+    assert volume(P) == ref_volume(P)
+    if P.dim % 2 == 0:
+        assert check_subset_sympolar(P) == ref_check_subset_sympolar(P)
+
+
+@pytest.mark.parametrize("index", range(len(BODIES)))
+def test_kernel_matches_reference_on_small_bodies(index):
+    assert_kernel_matches_reference(BODIES[index])
+
+
+def test_small_bodies_include_failing_witnesses():
+    witnesses = [check_subset_sympolar(P)[1] for P in BODIES if P.dim % 2 == 0]
+    assert any(w is not None for w in witnesses)
+    assert any(w is None for w in witnesses)
+
+
+def test_kernel_matches_reference_on_generated_body(generated):
+    denominators = {r[-1] for r in generated.rows}
+    assert len(denominators) > 1
+    assert max(len(str(d)) for d in denominators) > 100
+    assert_kernel_matches_reference(generated)
+
+
+def test_polar_incidence_is_transposed(generated):
+    for Q in (polar_dual(generated), symplectic_polar(generated)):
+        assert Q.facet_vertex_sets() == ref_facet_vertex_sets(Q)
+
+
+# --- the consistency check --------------------------------------------------
+
+
+def test_consistency_rejects_facet_shifted_inward(square):
+    rows = list(square.facet_rows)
+    a = rows[0]
+    rows[0] = tuple(2 * c for c in a[:-1]) + a[-1:]  # <a, x> <= b/2
+    with pytest.raises(GeometryError, match="violates"):
+        _check_consistency(2, square.rows, rows)
+
+
+def test_consistency_rejects_unspanned_facet(square):
+    corner = (1, 1, -2)  # x + y <= 2 touches the square at (1, 1) only
+    assert _check_consistency(2, square.rows, square.facet_rows)
+    with pytest.raises(GeometryError, match="not supported"):
+        _check_consistency(2, square.rows, square.facet_rows + (corner,))

@@ -152,6 +152,25 @@ def test_power_suspend_disk_cache(tmp_path):
     susp._power_cache.clear()
 
 
+def test_power_suspend_replaces_non_self_polar_cache(tmp_path, monkeypatch, p2):
+    import sympolar.suspension as susp
+    from sympolar.io import read_polytope, write_polytope
+
+    # right dimension and vertex count, but twice too large to be self-polar
+    planted = convex_hull([tuple(2 * c for c in v) for v in p2.vertices])
+    assert (planted.dim, len(planted.vertices)) == (4, vertex_count_formula(2))
+    assert not is_self_polar(planted)
+    path = tmp_path / "p_suspension_2.json"
+    write_polytope(path, planted)
+    monkeypatch.setenv("SYMPOLAR_CACHE_DIR", str(tmp_path))
+    susp._power_cache.clear()
+    try:
+        assert power_suspend(2) == p2
+    finally:
+        susp._power_cache.clear()
+    assert read_polytope(path) == p2
+
+
 def test_f_vector_of_p2(p2):
     assert f_vector(p2) == (16, 44, 44, 16)
 
