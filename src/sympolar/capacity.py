@@ -8,23 +8,25 @@ to be one representative per antipodal vertex pair with sum beta_i = 1.
 
 The search enumerates supports, orderings, and sign patterns exactly; the
 inner maximization over coefficients on each face of the normalized simplex
-is the stationary point of the Lagrange system, solved in exact rational
-arithmetic.  An optional floating-point prepass only orders and prunes
-candidate configurations; every reported value is re-derived exactly.
+is the stationary point of the Lagrange system.  The generator data are
+scaled to integers once, and the system of a signing s factors as
+D A D with D = diag(s) and A the omega-block of the ordering, so one
+fraction-free determinant and adjugate of A per ordering yield the value
+and coefficients of every signing in integer arithmetic.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add, mul, sub
 from typing import Sequence
 
-from sympolar.geometry import GeometryError, Polytope
-from sympolar.linalg import Vec, as_vec, dot, solve, vneg
+from sympolar.geometry import Polytope
+from sympolar.linalg import Vec, dot, int_adjugate, vneg
 from sympolar.suspension import PIVOT, induction_certificate
 from sympolar.symplectic import is_self_polar, omega
 
@@ -38,9 +40,6 @@ FACET_NORMALS = "facet-normals"
 
 #: Hard ceiling on (support, ordering, signing) configurations per search.
 DEFAULT_MAX_CONFIGS = 5_000_000
-
-_PREPASS_THRESHOLD = 20_000
-_FLOAT_MARGIN = 1e-6
 
 
 class CapacityError(ValueError):
@@ -240,132 +239,77 @@ def _configuration_count(m: int, bound: int) -> int:
     return sum(comb(m, k) * factorial(k - 1) * 2 ** (k - 1) for k in range(2, bound + 1))
 
 
-def _signs_from_bits(bits: int, k: int) -> tuple[int, ...]:
-    # first sign fixed positive: the objective is invariant under global negation
-    return (1,) + tuple(1 if not (bits >> i) & 1 else -1 for i in range(k - 1))
+def _search(supports, W, h):
+    """Best positive stationary configuration over integer data W, h.
 
+    For an ordering, the Lagrange system of signing s is D A D beta = lam h,
+    h . beta = 1 with D = diag(s) and A the symmetric omega-block of the
+    ordering, so one determinant and adjugate of A serve every signing: with
+    u = s*h, y = adj(A) u and Q = u . y, the system is regular exactly when
+    Q != 0, and then lam = det/Q and beta = s*y/Q.  A singular A leaves only
+    value-0 systems, which cannot be the positive optimum.  Signings are
+    walked in Gray-code order, so each one updates y by one adjugate column.
 
-def _exact_kkt(order, signs, W, h):
-    """Stationary coefficients of the objective on the face spanned by the
-    ordered signed support; returns (coeffs, value) or None when the Lagrange
-    system is singular or leaves the open face."""
-    k = len(order)
-    mat = [[ZERO] * (k + 1) for _ in range(k + 1)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            val = signs[a] * signs[b] * W[order[a]][order[b]]
-            mat[a][b] = val
-            mat[b][a] = val
-    for a in range(k):
-        mat[a][k] = -h[order[a]]
-        mat[k][a] = h[order[a]]
-    rhs = [ZERO] * k + [ONE]
-    sol = solve(mat, rhs)
-    if sol is None:
-        return None
-    coeffs = sol[:k]
-    if any(c <= 0 for c in coeffs):
-        return "infeasible"
-    lam = sol[k]
-    value = lam / 2
-    check = ZERO
-    for a in range(k):
-        for b in range(a + 1, k):
-            check += coeffs[a] * coeffs[b] * mat[a][b]
-    if check != value:
-        raise CapacityError("stationary value mismatch; please report this input")
-    return coeffs, value
-
-
-def _search_supports_exact(supports, m, W, h):
-    best = (ZERO, None, None)  # value, key, coeffs
-    degenerate = 0
-    for support in supports:
-        k = len(support)
-        for rest in permutations(support[1:]):
-            order = (support[0],) + rest
-            for bits in range(1 << (k - 1)):
-                signs = _signs_from_bits(bits, k)
-                outcome = _exact_kkt(order, signs, W, h)
-                if outcome is None:
-                    degenerate += 1
-                    continue
-                if outcome == "infeasible":
-                    continue
-                coeffs, value = outcome
-                key = (support, order, signs)
-                if value > best[0] or (value == best[0] and (best[1] is None or key < best[1])):
-                    best = (value, key, coeffs)
-    return best, degenerate
-
-
-def _search_supports_float(supports, m, W_int, h_int):
-    """Float prepass over integer generator data.
-
-    KKT matrices are integral, so a determinant below 1/2 in absolute value
-    is exactly zero (degenerate system); all other systems solve accurately
-    enough that a 1e-6 value margin cannot drop the exact maximizer.
+    Returns (best, skipped): best is (num, den, (support, order, signs),
+    s*y, Q) with num/den = det/Q and den > 0, or None; skipped counts the
+    signings with Q == 0 plus those of orderings with a singular block.
     """
-    import numpy as np
-
-    W = np.array(W_int, dtype=float)
-    h = np.array(h_int, dtype=float)
-    best_float = 0.0
-    degenerate = 0
-    candidates: list[tuple[float, tuple]] = []
-
-    def prune(threshold):
-        nonlocal candidates
-        candidates = [c for c in candidates if c[0] >= threshold]
-
+    best = None
+    best_num, best_den = 0, 1
+    skipped = 0
     for support in supports:
         k = len(support)
-        nbits = 1 << (k - 1)
-        signs_mat = np.ones((nbits, k))
-        for i in range(k - 1):
-            signs_mat[:, i + 1] = np.where(
-                (np.arange(nbits) >> i) & 1, -1.0, 1.0
-            )
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
+        signings = 1 << (k - 1)
         for rest in permutations(support[1:]):
             order = (support[0],) + rest
-            sub = W[np.ix_(order, order)]
-            upper = np.triu(sub, 1)
-            base = upper + upper.T
-            mats = signs_mat[:, :, None] * signs_mat[:, None, :] * base[None]
-            kkt = np.zeros((nbits, k + 1, k + 1))
-            kkt[:, :k, :k] = mats
-            kkt[:, :k, k] = -h[list(order)]
-            kkt[:, k, :k] = h[list(order)]
-            dets = np.linalg.det(kkt)
-            regular = np.abs(dets) > 0.5
-            degenerate += int(nbits - regular.sum())
-            if not regular.any():
+            block = [[0] * k for _ in range(k)]
+            for a in range(k):
+                row = W[order[a]]
+                for b in range(a + 1, k):
+                    block[a][b] = block[b][a] = row[order[b]]
+            det, adj = int_adjugate(block)
+            if det == 0:
+                skipped += signings
                 continue
-            nreg = int(regular.sum())
-            rhs_block = np.broadcast_to(rhs[:, None], (nreg, k + 1, 1))
-            sols = np.linalg.solve(kkt[regular], rhs_block)[:, :, 0]
-            coeff_block = sols[:, :k]
-            values = sols[:, k] / 2.0
-            loose = (coeff_block > -1e-9).all(axis=1)
-            strict = (coeff_block > 1e-9).all(axis=1)
-            bit_ids = np.flatnonzero(regular)
-            for row, bits in enumerate(bit_ids):
-                if not loose[row]:
+            u = [h[g] for g in order]
+            y = [sum(map(mul, col, u)) for col in adj]
+            Q = sum(map(mul, u, y))
+            # adj is symmetric, so row j is column j; h > 0, so sign(u_j) = s_j
+            moves = [[2 * hj * c for c in col] for hj, col in zip(u, adj)]
+            s = [1] * k
+            for i in range(signings):
+                if i:
+                    # flip the sign of position j: u_j -> -u_j moves y by
+                    # -2 u_j adj[j] and Q by 4 u_j (u_j adj_jj - y_j)
+                    j = (i & -i).bit_length()
+                    uj = u[j]
+                    Q += 4 * uj * (uj * adj[j][j] - y[j])
+                    y = list(map(sub if uj > 0 else add, y, moves[j]))
+                    u[j] = -uj
+                    s[j] = -s[j]
+                if Q == 0:
+                    skipped += 1
                     continue
-                value = float(values[row])
-                if strict[row] and value > best_float:
-                    best_float = value
-                    prune(best_float - _FLOAT_MARGIN)
-                if value >= best_float - _FLOAT_MARGIN:
-                    candidates.append((value, (support, order, int(bits))))
-    prune(best_float - _FLOAT_MARGIN)
-    return candidates, best_float, degenerate
-
-
-def _partition(items: list, parts: int) -> list[list]:
-    return [items[i::parts] for i in range(parts)]
+                # feasible: every coefficient s_a y_a / Q is positive (s_0 = 1)
+                if (y[0] > 0) != (Q > 0):
+                    continue
+                z = list(map(mul, s, y))
+                if (min(z) <= 0) if Q > 0 else (max(z) >= 0):
+                    continue
+                # stationary value: y^T A y = det Q, since A y = det u
+                if sum(map(mul, y, [sum(map(mul, row, y)) for row in block])) != det * Q:
+                    raise CapacityError("stationary value mismatch; please report this input")
+                num, den = (det, Q) if Q > 0 else (-det, -Q)
+                if num <= 0:
+                    continue
+                lead = num * best_den - best_num * den
+                if lead < 0:
+                    continue
+                key = (support, order, tuple(s))
+                if lead > 0 or key < best[2]:
+                    best = (num, den, key, z, Q)
+                    best_num, best_den = num, den
+    return best, skipped
 
 
 def ehz_brute_force(
@@ -373,8 +317,6 @@ def ehz_brute_force(
     support_bound: int | None = None,
     *,
     mode: str = FACET_NORMALS,
-    prepass: bool | None = None,
-    threads: int = 1,
     max_configs: int = DEFAULT_MAX_CONFIGS,
 ) -> tuple[Fraction, CapacityCertificate]:
     """Exact EHZ capacity with an optimal certificate.
@@ -387,8 +329,11 @@ def ehz_brute_force(
     bound that can be strict (an octagon already needs all four generator
     pairs).  Pass ``support_bound=m`` for the certified-complete full search.
 
-    Degenerate stationary systems are skipped and counted; the count is
-    logged.  Raises SearchBudgetError rather than approximating when the
+    Singular stationary systems are skipped and counted, and the count is
+    logged: the signings whose bordered system is singular (Q == 0) plus
+    every signing of an ordering whose omega-block is singular, which can
+    only give value 0.  Ties in value go to the least (support, order,
+    signs).  Raises SearchBudgetError rather than approximating when the
     configuration count exceeds ``max_configs``.
     """
     if mode not in (VERTICES, FACET_NORMALS):
@@ -415,72 +360,28 @@ def ehz_brute_force(
     # vertices mode normalizes plain coefficient mass; normals mode weights
     # each coefficient by the support value of its generator direction
     h = [ONE] * m if mode == VERTICES else [support_value(P, g) for g in base]
-    integral = all(c.denominator == 1 for row in W for c in row) and all(
-        c.denominator == 1 for c in h
-    )
-    if prepass is None:
-        prepass = integral and total >= _PREPASS_THRESHOLD
-    if prepass and not integral:
-        log.info("generator data is not integral; falling back to the exact path")
-        prepass = False
-
-    supports = [
-        s for k in range(2, bound + 1) for s in combinations(range(m), k)
-    ]
-    threads = max(1, threads)
-    parts = _partition(supports, threads) if threads > 1 else [supports]
-
-    degenerate = 0
-    if prepass:
-        W_int = [[int(c) for c in row] for row in W]
-        h_int = [int(c) for c in h]
-        results = _run_parts(
-            parts, lambda chunk: _search_supports_float(chunk, m, W_int, h_int), threads
+    # integer data: W = W_int / w_scale and h = h_int / h_scale, so a
+    # configuration's value det/(2Q) and coefficients s*y/Q come back as
+    # h_scale^2 det / (2 w_scale Q) and h_scale s*y / Q
+    w_scale = lcm(*(c.denominator for row in W for c in row))
+    h_scale = lcm(*(c.denominator for c in h))
+    W_int = [[int(c * w_scale) for c in row] for row in W]
+    h_int = [int(c * h_scale) for c in h]
+    supports = (s for k in range(2, bound + 1) for s in combinations(range(m), k))
+    best, skipped = _search(supports, W_int, h_int)
+    if skipped:
+        log.info(
+            "capacity search skipped %d singular stationary systems "
+            "(signings with Q == 0 or of a singular omega-block)",
+            skipped,
         )
-        merged: list[tuple[float, tuple]] = []
-        best_float = 0.0
-        for cands, strict_best, dcount in results:
-            degenerate += dcount
-            merged.extend(cands)
-            best_float = max(best_float, strict_best)
-        shortlist = sorted(
-            (cfg for value, cfg in merged if value >= best_float - _FLOAT_MARGIN),
-            key=lambda cfg: (len(cfg[0]), cfg),
-        )
-        best = (ZERO, None, None)
-        for support, order, bits in shortlist:
-            signs = _signs_from_bits(bits, len(order))
-            outcome = _exact_kkt(order, signs, W, h)
-            if outcome is None or outcome == "infeasible":
-                continue
-            coeffs, value = outcome
-            key = (support, order, signs)
-            if value > best[0] or (
-                value == best[0] and (best[1] is None or key < best[1])
-            ):
-                best = (value, key, coeffs)
-    else:
-        results = _run_parts(
-            parts, lambda chunk: _search_supports_exact(chunk, m, W, h), threads
-        )
-        best = (ZERO, None, None)
-        for part_best, dcount in results:
-            degenerate += dcount
-            value, key, coeffs = part_best
-            if key is None:
-                continue
-            if value > best[0] or (
-                value == best[0] and (best[1] is None or key < best[1])
-            ):
-                best = (value, key, coeffs)
-
-    if degenerate:
-        log.info("capacity search skipped %d degenerate stationary systems", degenerate)
-    value, key, coeffs = best
-    if key is None or value <= 0:
+    if best is None:
         raise CapacityError(
             "search found no positive stationary value; the input is degenerate"
         )
+    num, den, key, z, Q = best
+    value = Fraction(h_scale * h_scale * num, 2 * w_scale * den)
+    coeffs = [Fraction(h_scale * c, Q) for c in z]
     support, order, signs = key
     cert = CapacityCertificate(
         kind=mode,
@@ -490,10 +391,3 @@ def ehz_brute_force(
         generators=base,
     )
     return 1 / value, cert
-
-
-def _run_parts(parts, worker, threads):
-    if threads <= 1 or len(parts) <= 1:
-        return [worker(chunk) for chunk in parts]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, parts))

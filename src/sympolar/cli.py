@@ -19,6 +19,7 @@ from pathlib import Path
 from sympolar import __version__
 from sympolar.capacity import (
     CapacityCertificate,
+    DEFAULT_MAX_CONFIGS,
     CapacityError,
     SearchBudgetError,
     ehz_brute_force,
@@ -124,7 +125,6 @@ def _cmd_ehz(args) -> int:
         poly,
         bound,
         mode=args.mode,
-        threads=args.threads,
         max_configs=args.budget,
     )
     print(_rational(capacity))
@@ -171,7 +171,6 @@ def _cmd_generate(args) -> int:
         max_iter=args.max_iter,
         csv_path=csv_path,
         svg_path=svg_path,
-        threads=args.threads,
     )
     done = [r for r in result.records if r.self_polar]
     print(
@@ -266,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(OUT_DIR_ENV, "."),
         help=f"directory for output artifacts (default: ${OUT_DIR_ENV} or '.')",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads; results are thread-count invariant")
     parser.add_argument("-v", "--verbose", action="store_true", help="log search diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -298,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["facet-normals", "vertices"], default="facet-normals")
     p.add_argument("--support-bound", type=int, default=None)
     p.add_argument("--full", action="store_true", help="search all support sizes")
-    p.add_argument("--budget", type=int, default=5_000_000, help="configuration budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_MAX_CONFIGS, help="configuration budget")
     p.add_argument("--cert", help="certificate output file")
     p.set_defaults(func=_cmd_ehz)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -200,7 +199,6 @@ def batch_generate(
     max_iter: int = 64,
     csv_path=None,
     svg_path=None,
-    threads: int = 1,
 ) -> BatchResult:
     """Seeded batch of generation runs with optional CSV and SVG emission.
 
@@ -212,7 +210,6 @@ def batch_generate(
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    seeds = list(range(base_seed, base_seed + runs))
 
     def one(seed: int):
         try:
@@ -221,11 +218,7 @@ def batch_generate(
             log.exception("generation run with seed %d failed", seed)
             return seed, None, f"{type(exc).__name__}: {exc}"
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, seeds))
-    else:
-        outcomes = [one(seed) for seed in seeds]
+    outcomes = [one(seed) for seed in range(base_seed, base_seed + runs)]
 
     records = tuple(rec for _, rec, _ in outcomes if rec is not None)
     failures = tuple((seed, msg) for seed, _, msg in outcomes if msg is not None)

@@ -9,7 +9,8 @@ rows.  A rational point ``v`` becomes the primitive row ``(V, d)`` with
 ``v = V/d`` and ``d > 0`` (``homogeneous``), a halfspace ``<a, x> <= b``
 the primitive row ``(a, -b)``; incidence is then the sign of ``int_dot``,
 ranks come from fraction-free elimination (``independent_rows``) and
-determinants from Bareiss elimination (``int_det``).
+determinants and adjugates from Bareiss elimination (``int_det``,
+``int_adjugate``).
 """
 
 from __future__ import annotations
@@ -177,3 +178,46 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
             row[col] = 0
         prev = pivot
     return sign * work[n - 1][n - 1]
+
+
+def int_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """Determinant and adjugate of an integer matrix; the adjugate is None
+    when the determinant is 0.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination of ``[A | I]``, kept in
+    place: after t steps the columns of the left block left of t are
+    d e_j and those of the right block from t on are d e_j, with d the last
+    pivot, so one k x k array holds the rest.  Every division is exact.
+    Row swaps make it eliminate P A, and d (P A)^-1 P = d A^-1 puts the
+    column of the right block held at position i back at column ``perm[i]``.
+    """
+    n = len(matrix)
+    work = [list(row) for row in matrix]
+    perm = list(range(n))
+    sign = 1
+    prev = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot_row is None:
+            return 0, None
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
+            sign = -sign
+        base = work[col]
+        pivot = base[col]
+        for r in range(n):
+            if r != col:
+                row = work[r]
+                lead = row[col]
+                row = [(pivot * a - lead * b) // prev for a, b in zip(row, base)]
+                row[col] = -lead
+                work[r] = row
+        base[col] = prev
+        prev = pivot
+    held_at = [0] * n
+    for i, j in enumerate(perm):
+        held_at[j] = i
+    if sign < 0:
+        work = [[-a for a in row] for row in work]
+    return sign * prev, [[row[i] for i in held_at] for row in work]

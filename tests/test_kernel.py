@@ -22,7 +22,7 @@ from sympolar.geometry import (
     polar_dual,
     volume,
 )
-from sympolar.linalg import dehomogenize
+from sympolar.linalg import dehomogenize, int_adjugate, int_det, invert
 from sympolar.symplectic import check_subset_sympolar, symplectic_polar
 
 from conftest import random_point, random_symmetric_polytope
@@ -220,3 +220,25 @@ def test_consistency_rejects_unspanned_facet(square):
     assert _check_consistency(2, square.rows, square.facet_rows)
     with pytest.raises(GeometryError, match="not supported"):
         _check_consistency(2, square.rows, square.facet_rows + (corner,))
+
+
+# --- the adjugate -------------------------------------------------------------
+
+
+def test_int_adjugate_matches_fraction_inverse():
+    rng = random.Random(3)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:  # symmetric with zero diagonal, like an omega-block
+            A = [[0 if i == j else A[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        det, adj = int_adjugate(A)
+        assert det == int_det(A)
+        if det == 0:
+            singular += 1
+            assert adj is None
+            continue
+        inverse = invert([[Fraction(c) for c in row] for row in A])
+        assert adj == [[det * c for c in row] for row in inverse]
+    assert singular > 20
