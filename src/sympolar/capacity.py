@@ -239,14 +239,15 @@ def _configuration_count(m: int, bound: int) -> int:
     return sum(comb(m, k) * factorial(k - 1) * 2 ** (k - 1) for k in range(2, bound + 1))
 
 
-def _search(supports, W, h):
-    """Best positive stationary configuration over integer data W, h.
+def _search(supports, W):
+    """Best positive stationary configuration over the integer omega-matrix W
+    of generators whose support values are all 1.
 
-    For an ordering, the Lagrange system of signing s is D A D beta = lam h,
-    h . beta = 1 with D = diag(s) and A the symmetric omega-block of the
+    For an ordering, the Lagrange system of signing s is D A D beta = lam 1,
+    1 . beta = 1 with D = diag(s) and A the symmetric omega-block of the
     ordering, so one determinant and adjugate of A serve every signing: with
-    u = s*h, y = adj(A) u and Q = u . y, the system is regular exactly when
-    Q != 0, and then lam = det/Q and beta = s*y/Q.  A singular A leaves only
+    y = adj(A) s and Q = s . y, the system is regular exactly when Q != 0,
+    and then lam = det/Q and beta = s*y/Q.  A singular A leaves only
     value-0 systems, which cannot be the positive optimum.  Signings are
     walked in Gray-code order, so each one updates y by one adjugate column.
 
@@ -271,22 +272,20 @@ def _search(supports, W, h):
             if det == 0:
                 skipped += signings
                 continue
-            u = [h[g] for g in order]
-            y = [sum(map(mul, col, u)) for col in adj]
-            Q = sum(map(mul, u, y))
-            # adj is symmetric, so row j is column j; h > 0, so sign(u_j) = s_j
-            moves = [[2 * hj * c for c in col] for hj, col in zip(u, adj)]
             s = [1] * k
+            y = [sum(col) for col in adj]
+            Q = sum(y)
+            # adj is symmetric, so row j is column j
+            moves = [[2 * c for c in col] for col in adj]
             for i in range(signings):
                 if i:
-                    # flip the sign of position j: u_j -> -u_j moves y by
-                    # -2 u_j adj[j] and Q by 4 u_j (u_j adj_jj - y_j)
+                    # flip the sign of position j: s_j -> -s_j moves y by
+                    # -2 s_j adj[j] and Q by 4 (adj_jj - s_j y_j)
                     j = (i & -i).bit_length()
-                    uj = u[j]
-                    Q += 4 * uj * (uj * adj[j][j] - y[j])
-                    y = list(map(sub if uj > 0 else add, y, moves[j]))
-                    u[j] = -uj
-                    s[j] = -s[j]
+                    sj = s[j]
+                    Q += 4 * (adj[j][j] - sj * y[j])
+                    y = list(map(sub if sj > 0 else add, y, moves[j]))
+                    s[j] = -sj
                 if Q == 0:
                     skipped += 1
                     continue
@@ -296,7 +295,7 @@ def _search(supports, W, h):
                 z = list(map(mul, s, y))
                 if (min(z) <= 0) if Q > 0 else (max(z) >= 0):
                     continue
-                # stationary value: y^T A y = det Q, since A y = det u
+                # stationary value: y^T A y = det Q, since A y = det s
                 if sum(map(mul, y, [sum(map(mul, row, y)) for row in block])) != det * Q:
                     raise CapacityError("stationary value mismatch; please report this input")
                 num, den = (det, Q) if Q > 0 else (-det, -Q)
@@ -357,18 +356,15 @@ def ehz_brute_force(
         raise SearchBudgetError(total, max_configs)
 
     W = [[omega(a, b) for b in base] for a in base]
-    # vertices mode normalizes plain coefficient mass; normals mode weights
-    # each coefficient by the support value of its generator direction
-    h = [ONE] * m if mode == VERTICES else [support_value(P, g) for g in base]
-    # integer data: W = W_int / w_scale and h = h_int / h_scale, so a
-    # configuration's value det/(2Q) and coefficients s*y/Q come back as
-    # h_scale^2 det / (2 w_scale Q) and h_scale s*y / Q
+    # the normalization weights every coefficient by 1: plain coefficient
+    # mass in vertices mode, and in normals mode the support value of each
+    # generator, which is 1 because a symmetric body's facets are stored at
+    # offset 1.  With W = W_int / w_scale, a configuration's value det/(2Q)
+    # comes back as det / (2 w_scale Q)
     w_scale = lcm(*(c.denominator for row in W for c in row))
-    h_scale = lcm(*(c.denominator for c in h))
     W_int = [[int(c * w_scale) for c in row] for row in W]
-    h_int = [int(c * h_scale) for c in h]
     supports = (s for k in range(2, bound + 1) for s in combinations(range(m), k))
-    best, skipped = _search(supports, W_int, h_int)
+    best, skipped = _search(supports, W_int)
     if skipped:
         log.info(
             "capacity search skipped %d singular stationary systems "
@@ -380,8 +376,8 @@ def ehz_brute_force(
             "search found no positive stationary value; the input is degenerate"
         )
     num, den, key, z, Q = best
-    value = Fraction(h_scale * h_scale * num, 2 * w_scale * den)
-    coeffs = [Fraction(h_scale * c, Q) for c in z]
+    value = Fraction(num, 2 * w_scale * den)
+    coeffs = [Fraction(c, Q) for c in z]
     support, order, signs = key
     cert = CapacityCertificate(
         kind=mode,

@@ -94,16 +94,19 @@ def write_polytope(path, P: Polytope):
     atomic_write_text(Path(path), json.dumps(polytope_to_dict(P), indent=1) + "\n")
 
 
-def read_polytope(path) -> Polytope:
+def _read_exact_json(path, what: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise MalformedInputError(f"cannot read polytope file {path}: {exc}") from exc
+        raise MalformedInputError(f"cannot read {what} file {path}: {exc}") from exc
     try:
-        data = loads_exact(text)
+        return loads_exact(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
-    return polytope_from_dict(data)
+
+
+def read_polytope(path) -> Polytope:
+    return polytope_from_dict(_read_exact_json(path, "polytope"))
 
 
 def certificate_to_dict(cert) -> dict:
@@ -148,12 +151,4 @@ def write_certificate(path, cert):
 
 
 def read_certificate_fields(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read certificate file {path}: {exc}") from exc
-    try:
-        data = loads_exact(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
-    return certificate_fields_from_dict(data)
+    return certificate_fields_from_dict(_read_exact_json(path, "certificate"))

@@ -10,11 +10,10 @@ symmetric X with the origin interior.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
-from pathlib import Path
 from typing import Sequence
 
 from sympolar.geometry import (
@@ -35,16 +34,12 @@ PIVOT: Vec = (Fraction(1), Fraction(1))
 
 _HEXAGON_POINTS = ((1, 1), (1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1))
 
-_hexagon_cache: Polytope | None = None
 
-
+@cache
 def hexagon() -> Polytope:
     """conv{±(1,1), ±(1,0), ±(0,1)}: the minimal-volume symplectically
     self-polar body of the plane, and the base of every suspension here."""
-    global _hexagon_cache
-    if _hexagon_cache is None:
-        _hexagon_cache = convex_hull(_HEXAGON_POINTS)
-    return _hexagon_cache
+    return convex_hull(_HEXAGON_POINTS)
 
 
 def suspend_vertices(X: Polytope) -> Polytope:
@@ -132,68 +127,20 @@ def volume_closed_form(n: int) -> Fraction:
     return value
 
 
-_power_cache: dict[int, Polytope] = {}
+@cache
+def power_suspend(n: int) -> Polytope:
+    """The n-fold iterated suspension P_n of the hexagon: P_1 is the hexagon
+    and P_n is the vertex-route suspension of P_{n-1}.
 
-
-def _default_cache_dir() -> Path:
-    env = os.environ.get("SYMPOLAR_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "sympolar"
-
-
-def power_suspend(n: int, cache_dir: Path | str | None = None) -> Polytope:
-    """The n-fold iterated suspension of the hexagon.
-
-    Levels are cached in memory and on disk (shared polytope JSON format,
-    one file per level, written atomically); a cached file failing the
-    vertex-count or the self-polarity check is recomputed and rewritten.
+    Each level is built once per process and kept in memory; nothing is
+    written to disk.  To keep a level, write it with
+    ``sympolar.io.write_polytope`` (or ``sympolar power-suspend n --out``).
     """
     if n < 1:
         raise ValueError("suspension power must be >= 1")
-    directory = Path(cache_dir) if cache_dir is not None else _default_cache_dir()
-    result = hexagon()
-    for level in range(2, n + 1):
-        if level in _power_cache:
-            result = _power_cache[level]
-            continue
-        result = _load_cached_level(directory, level) or _build_level(
-            directory, level, result
-        )
-        _power_cache[level] = result
-    return result
-
-
-def _level_path(directory: Path, level: int) -> Path:
-    return directory / f"p_suspension_{level}.json"
-
-
-def _load_cached_level(directory: Path, level: int) -> Polytope | None:
-    from sympolar.io import MalformedInputError, read_polytope
-
-    path = _level_path(directory, level)
-    if not path.exists():
-        return None
-    try:
-        poly = read_polytope(path)
-    except MalformedInputError:
-        return None
-    if poly.dim != 2 * level or len(poly.vertices) != vertex_count_formula(level):
-        return None
-    if not is_self_polar(poly):
-        return None
-    return poly
-
-
-def _build_level(directory: Path, level: int, base: Polytope) -> Polytope:
-    from sympolar.io import write_polytope
-
-    poly = suspend_vertices(base)
-    try:
-        write_polytope(_level_path(directory, level), poly)
-    except OSError:
-        pass  # caching is best-effort; the computed polytope is still returned
-    return poly
+    if n == 1:
+        return hexagon()
+    return suspend_vertices(power_suspend(n - 1))
 
 
 @dataclass(frozen=True)

@@ -82,17 +82,16 @@ def symplectic_polar(P: Polytope) -> Polytope:
     return _polar(P, [next((int(c), k) for k, c in enumerate(row) if c) for row in matrix])
 
 
-def _first_violation(verts, rows, both_orders: bool = True) -> Witness | None:
+def _first_violation(verts, rows) -> Witness | None:
     """The first vertex pair (v, w), scanning index pairs i < j, with
-    omega(v, w) > 1, or with omega(w, v) > 1 when ``both_orders``; returned
-    as (v, w, omega(v, w))."""
+    omega(v, w) > 1 or omega(w, v) > 1; returned as (v, w, omega(v, w))."""
     for i, x in enumerate(rows):
         for j in range(i + 1, len(rows)):
             y = rows[j]
             value, bound = omega_rows(x, y), x[-1] * y[-1]
             if value > bound:
                 return verts[i], verts[j], Fraction(value, bound)
-            if both_orders and -value > bound:
+            if -value > bound:
                 return verts[j], verts[i], Fraction(-value, bound)
     return None
 
@@ -147,7 +146,7 @@ def expand_step(K: Polytope, S: Sequence[Sequence]) -> Polytope:
                 (p,),
             )
     ordered = sorted(point_set)
-    witness = _first_violation(ordered, [polar_rows[p] for p in ordered], both_orders=False)
+    witness = _first_violation(ordered, [polar_rows[p] for p in ordered])
     if witness is not None:
         raise ExpansionError(f"expansion pair violates the form bound: {witness}", witness)
     if not points:

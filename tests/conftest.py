@@ -30,13 +30,13 @@ def octagon() -> Polytope:
 
 
 @pytest.fixture(scope="session")
-def p2(tmp_path_factory) -> Polytope:
-    return power_suspend(2, cache_dir=tmp_path_factory.mktemp("cache2"))
+def p2() -> Polytope:
+    return power_suspend(2)
 
 
 @pytest.fixture(scope="session")
-def p3(tmp_path_factory) -> Polytope:
-    return power_suspend(3, cache_dir=tmp_path_factory.mktemp("cache3"))
+def p3() -> Polytope:
+    return power_suspend(3)
 
 
 def random_rational(rng: random.Random, span: int = 3, denominator: int = 4) -> Fraction:

@@ -13,6 +13,7 @@ from sympolar.capacity import (
     CapacityError,
     CertificateError,
     SearchBudgetError,
+    _search,
     ehz_brute_force,
     equal_weight_certificate,
     evaluate_certificate,
@@ -336,6 +337,19 @@ def test_search_matches_fraction_reference(hexa, square, cross2, octagon, p2, pr
         assert got == _reference_search(poly, bound, mode)
 
 
+def test_search_rejects_zero_coefficients():
+    # the triple's best stationary point ties with the pair (0, 2) at value
+    # 1/2 but puts weight 0 on generator 1; it is a point of the pair's face,
+    # not a configuration of the triple, so the lexicographically smaller
+    # triple must not win the tie
+    W = [[0, -1, -2], [1, 0, -1], [2, 1, 0]]
+    supports = [s for k in (2, 3) for s in combinations(range(3), k)]
+    (num, den, key, z, Q), _ = _search(supports, W)
+    assert key == ((0, 2), (0, 2), (1, -1))
+    assert F(num, den) == 1
+    assert [F(c, Q) for c in z] == [F(1, 2), F(1, 2)]
+
+
 @pytest.mark.parametrize(
     "name, capacity",
     [
@@ -357,7 +371,7 @@ def test_capacity_product_closed_forms(products, name, capacity):
     assert evaluate_certificate(poly, cert) == 1 / value
 
 
-def test_search_imports_no_numpy(tmp_path):
+def test_search_imports_no_numpy():
     code = (
         "import sys\n"
         "from sympolar.capacity import ehz_brute_force\n"
@@ -366,7 +380,7 @@ def test_search_imports_no_numpy(tmp_path):
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, SYMPOLAR_CACHE_DIR=str(tmp_path))
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

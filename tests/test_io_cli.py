@@ -9,6 +9,7 @@ from sympolar.io import (
     parse_rational,
     polytope_from_dict,
     polytope_to_dict,
+    read_certificate_fields,
     read_polytope,
     write_polytope,
 )
@@ -67,6 +68,19 @@ def test_reader_rejects_non_json(tmp_path):
     path.write_text("nope")
     with pytest.raises(MalformedInputError):
         read_polytope(path)
+
+
+@pytest.mark.parametrize(
+    "reader, what", [(read_polytope, "polytope"), (read_certificate_fields, "certificate")]
+)
+def test_readers_name_the_failing_file(tmp_path, reader, what):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(MalformedInputError, match=f"cannot read {what} file .*missing.json"):
+        reader(missing)
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{nope")
+    with pytest.raises(MalformedInputError, match="invalid JSON in .*garbled.json"):
+        reader(garbled)
 
 
 # --- CLI --------------------------------------------------------------------
@@ -129,7 +143,7 @@ def test_cli_suspend_roundtrip(tmp_path, capsys, hexa):
     )
     from sympolar.suspension import power_suspend
 
-    assert read_polytope(tmp_path / "s.json") == power_suspend(2, cache_dir=tmp_path)
+    assert read_polytope(tmp_path / "s.json") == power_suspend(2)
 
 
 def test_cli_generate(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -113,12 +117,29 @@ def test_membership_agrees_with_halfspace_polytope(square):
     assert 0 < hits < 1000
 
 
-def test_power_suspend_values(p2, p3, tmp_path):
-    assert power_suspend(1, cache_dir=tmp_path) == hexagon()
+def test_power_suspend_values(p2, p3):
+    assert power_suspend(1) == hexagon()
     assert len(p2.vertices) == vertex_count_formula(2) == 16
     assert len(p3.vertices) == vertex_count_formula(3) == 36
     assert volume(p2) == volume_closed_form(2) == F(7, 2)
     assert volume(p3) == volume_closed_form(3) == F(77, 30)
+
+
+def test_power_suspend_writes_nothing(tmp_path):
+    # a fresh process with an empty home: building P_3 leaves no file behind
+    code = (
+        "from sympolar.suspension import power_suspend\n"
+        "assert len(power_suspend(3).vertices) == 36\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "SYMPOLAR_CACHE_DIR"}
+    env["HOME"] = str(tmp_path)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_power_suspend_rejects_zero():
@@ -133,42 +154,6 @@ def test_closed_forms():
     assert vertex_count_formula(1) == 6
     assert vertex_count_formula(2) == 16
     assert vertex_count_formula(3) == 36
-
-
-def test_power_suspend_disk_cache(tmp_path):
-    import sympolar.suspension as susp
-
-    susp._power_cache.clear()
-    first = power_suspend(2, cache_dir=tmp_path)
-    assert (tmp_path / "p_suspension_2.json").exists()
-    susp._power_cache.clear()
-    second = power_suspend(2, cache_dir=tmp_path)
-    assert first == second
-    # corrupt the cache; the level is silently recomputed
-    (tmp_path / "p_suspension_2.json").write_text("{not json")
-    susp._power_cache.clear()
-    third = power_suspend(2, cache_dir=tmp_path)
-    assert third == first
-    susp._power_cache.clear()
-
-
-def test_power_suspend_replaces_non_self_polar_cache(tmp_path, monkeypatch, p2):
-    import sympolar.suspension as susp
-    from sympolar.io import read_polytope, write_polytope
-
-    # right dimension and vertex count, but twice too large to be self-polar
-    planted = convex_hull([tuple(2 * c for c in v) for v in p2.vertices])
-    assert (planted.dim, len(planted.vertices)) == (4, vertex_count_formula(2))
-    assert not is_self_polar(planted)
-    path = tmp_path / "p_suspension_2.json"
-    write_polytope(path, planted)
-    monkeypatch.setenv("SYMPOLAR_CACHE_DIR", str(tmp_path))
-    susp._power_cache.clear()
-    try:
-        assert power_suspend(2) == p2
-    finally:
-        susp._power_cache.clear()
-    assert read_polytope(path) == p2
 
 
 def test_f_vector_of_p2(p2):
