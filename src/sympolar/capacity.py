@@ -12,7 +12,11 @@ is the stationary point of the Lagrange system.  The generator data are
 scaled to integers once, and the system of a signing s factors as
 D A D with D = diag(s) and A the omega-block of the ordering, so one
 fraction-free determinant and adjugate of A per ordering yield the value
-and coefficients of every signing in integer arithmetic.
+and coefficients of every signing in integer arithmetic.  Supports are
+pruned by branch and bound: by Motzkin-Straus (1965) the objective on a
+support is at most w (1 - 1/kappa)/2, with w the largest |omega| on it and
+kappa the clique number of its nonzero-omega graph, so a support whose bound
+cannot beat the best value so far is never solved.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -38,7 +43,8 @@ ONE = Fraction(1)
 VERTICES = "vertices"
 FACET_NORMALS = "facet-normals"
 
-#: Hard ceiling on (support, ordering, signing) configurations per search.
+#: Hard ceiling on the (support, ordering, signing) configurations that one
+#: search solves; supports skipped by the clique bound do not count.
 DEFAULT_MAX_CONFIGS = 5_000_000
 
 
@@ -47,12 +53,12 @@ class CapacityError(ValueError):
 
 
 class SearchBudgetError(CapacityError):
-    """The exact search would exceed the configured configuration budget."""
+    """The exact search would solve more configurations than its budget."""
 
     def __init__(self, configurations: int, budget: int):
         super().__init__(
-            f"search needs {configurations} configurations, over the budget "
-            f"of {budget}; raise max_configs or lower support_bound"
+            f"search would solve at least {configurations} configurations, over "
+            f"the budget of {budget}; raise max_configs or lower support_bound"
         )
         self.configurations = configurations
         self.budget = budget
@@ -235,11 +241,38 @@ def make_suspension_certificate(
 # Exact brute-force search.
 
 
-def _configuration_count(m: int, bound: int) -> int:
-    return sum(comb(m, k) * factorial(k - 1) * 2 ** (k - 1) for k in range(2, bound + 1))
+def _clique_bound(W):
+    """The map from a support bitmask S to (w, kappa): w the largest |W_ab|
+    and kappa the clique number of the nonzero-W graph on S.  Both are
+    memoized over sub-bitmasks, so a support visited after its subsets
+    costs O(1)."""
+    nbr = [sum(1 << b for b, w in enumerate(row) if w) for row in W]
+
+    @cache
+    def clique_number(mask):
+        # the highest vertex is either outside a largest clique or in one
+        # together with a largest clique of its neighbours
+        if not mask & (mask - 1):
+            return mask.bit_count()
+        v = mask.bit_length() - 1
+        rest = mask ^ (1 << v)
+        return max(clique_number(rest), 1 + clique_number(rest & nbr[v]))
+
+    @cache
+    def w_max(mask):
+        # a pair of S is its lowest and highest member, or lies in S minus
+        # one of them
+        low = mask & -mask
+        high = 1 << (mask.bit_length() - 1)
+        w = abs(W[low.bit_length() - 1][high.bit_length() - 1])
+        if mask == low | high:
+            return w
+        return max(w, w_max(mask ^ low), w_max(mask ^ high))
+
+    return lambda mask: (w_max(mask), clique_number(mask))
 
 
-def _search(supports, W):
+def _search(supports, W, max_configs=DEFAULT_MAX_CONFIGS):
     """Best positive stationary configuration over the integer omega-matrix W
     of generators whose support values are all 1.
 
@@ -251,16 +284,39 @@ def _search(supports, W):
     value-0 systems, which cannot be the positive optimum.  Signings are
     walked in Gray-code order, so each one updates y by one adjugate column.
 
-    Returns (best, skipped): best is (num, den, (support, order, signs),
-    s*y, Q) with num/den = det/Q and den > 0, or None; skipped counts the
-    signings with Q == 0 plus those of orderings with a singular block.
+    A support S is skipped unsolved when its clique bound cannot beat the
+    best value so far.  Every configuration on S has value det/Q = twice
+    sum_{a<b} beta_a beta_b (+-W_ab) on the simplex, which by Motzkin-Straus
+    is at most w (kappa - 1)/kappa, with w the largest |W_ab| on S and kappa
+    the clique number of S's nonzero-W graph; at equality S can only tie,
+    and a tie goes to the least (support, order, signs).
+
+    Raises SearchBudgetError before solving a support whose
+    (k-1)! 2^(k-1) configurations would take the solved count past
+    ``max_configs``.  Returns (best, (solved, pruned, skipped)): best is
+    (num, den, (support, order, signs), s*y, Q) with num/den = det/Q and
+    den > 0, or None; solved and pruned count the configurations of the
+    solved and of the skipped supports, and skipped the signings with
+    Q == 0 plus those of orderings with a singular block.
     """
+    clique_bound = _clique_bound(W)
     best = None
     best_num, best_den = 0, 1
-    skipped = 0
+    solved = pruned = skipped = 0
     for support in supports:
         k = len(support)
         signings = 1 << (k - 1)
+        configs = factorial(k - 1) * signings
+        mask = sum(1 << a for a in support)
+        w, kappa = clique_bound(mask)
+        cap = w * (kappa - 1) * best_den
+        beat = best_num * kappa
+        if cap < beat or (cap == beat and (best is None or support > best[2][0])):
+            pruned += configs
+            continue
+        if solved + configs > max_configs:
+            raise SearchBudgetError(solved + configs, max_configs)
+        solved += configs
         for rest in permutations(support[1:]):
             order = (support[0],) + rest
             block = [[0] * k for _ in range(k)]
@@ -308,7 +364,7 @@ def _search(supports, W):
                 if lead > 0 or key < best[2]:
                     best = (num, den, key, z, Q)
                     best_num, best_den = num, den
-    return best, skipped
+    return best, (solved, pruned, skipped)
 
 
 def ehz_brute_force(
@@ -320,20 +376,30 @@ def ehz_brute_force(
 ) -> tuple[Fraction, CapacityCertificate]:
     """Exact EHZ capacity with an optimal certificate.
 
-    Enumerates generator supports up to ``support_bound``, all orderings with
-    the smallest support index first, and all sign patterns with the first
-    sign positive.  The default bound min(m, dim+1) matches the support size
-    of the optimal certificates of the suspension family; it is a heuristic
-    with no general guarantee, so a bounded search yields a certified upper
-    bound that can be strict (an octagon already needs all four generator
-    pairs).  Pass ``support_bound=m`` for the certified-complete full search.
+    Enumerates generator supports up to ``support_bound``, by size and then
+    lexicographically, all orderings with the smallest support index first,
+    and all sign patterns with the first sign positive.  The default bound
+    min(m, dim+1) matches the support size of the optimal certificates of
+    the suspension family; it is a heuristic with no general guarantee, so a
+    bounded search yields a certified upper bound that can be strict (an
+    octagon already needs all four generator pairs).  Pass
+    ``support_bound=m`` for the certified-complete full search.
 
-    Singular stationary systems are skipped and counted, and the count is
-    logged: the signings whose bordered system is singular (Q == 0) plus
-    every signing of an ordering whose omega-block is singular, which can
-    only give value 0.  Ties in value go to the least (support, order,
-    signs).  Raises SearchBudgetError rather than approximating when the
-    configuration count exceeds ``max_configs``.
+    A support whose Motzkin-Straus clique bound cannot beat the best value
+    found so far, or can only tie it with a later key, is skipped unsolved;
+    the test is exact integer arithmetic, so the value and certificate are
+    those of the unpruned search.  This is what makes P_3 reachable: at the
+    default bound it solves about 0.6 M of its 1.54e9 configurations.
+
+    Singular stationary systems are skipped and counted: the signings whose
+    bordered system is singular (Q == 0) plus every signing of an ordering
+    whose omega-block is singular, which can only give value 0.  The
+    configurations solved, those pruned by the clique bound and the singular
+    systems are logged.  Ties in value go to the least (support, order,
+    signs).  ``max_configs`` caps the configurations solved, not the
+    unpruned total: the search raises SearchBudgetError, rather than
+    approximating, before a support that would take it past the budget, so
+    an over-budget search fails only after spending its budget.
     """
     if mode not in (VERTICES, FACET_NORMALS):
         raise CapacityError(f"unknown search mode {mode!r}")
@@ -351,9 +417,6 @@ def ehz_brute_force(
     if bound < 2:
         raise CapacityError("support bound must be at least 2")
     bound = min(bound, m)
-    total = _configuration_count(m, bound)
-    if total > max_configs:
-        raise SearchBudgetError(total, max_configs)
 
     W = [[omega(a, b) for b in base] for a in base]
     # the normalization weights every coefficient by 1: plain coefficient
@@ -364,13 +427,15 @@ def ehz_brute_force(
     w_scale = lcm(*(c.denominator for row in W for c in row))
     W_int = [[int(c * w_scale) for c in row] for row in W]
     supports = (s for k in range(2, bound + 1) for s in combinations(range(m), k))
-    best, skipped = _search(supports, W_int)
-    if skipped:
-        log.info(
-            "capacity search skipped %d singular stationary systems "
-            "(signings with Q == 0 or of a singular omega-block)",
-            skipped,
-        )
+    best, (solved, pruned, skipped) = _search(supports, W_int, max_configs)
+    log.info(
+        "capacity search solved %d configurations, pruned %d by the clique "
+        "bound and skipped %d singular stationary systems (signings with "
+        "Q == 0 or of a singular omega-block)",
+        solved,
+        pruned,
+        skipped,
+    )
     if best is None:
         raise CapacityError(
             "search found no positive stationary value; the input is degenerate"

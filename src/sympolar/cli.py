@@ -296,7 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["facet-normals", "vertices"], default="facet-normals")
     p.add_argument("--support-bound", type=int, default=None)
     p.add_argument("--full", action="store_true", help="search all support sizes")
-    p.add_argument("--budget", type=int, default=DEFAULT_MAX_CONFIGS, help="configuration budget")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_MAX_CONFIGS,
+        help="most configurations to solve; supports pruned by the clique bound "
+        "do not count, so an over-budget search fails after spending its budget",
+    )
     p.add_argument("--cert", help="certificate output file")
     p.set_defaults(func=_cmd_ehz)
 

@@ -111,9 +111,7 @@ class Polytope:
     these canonical lists.  ``rows`` holds the same vertices as homogeneous
     integer rows, ``facet_rows`` the facets as integer rows (in no particular
     order) and ``incidence``, per facet row, the bitmask of the indices of
-    the vertices on it.  The ``Fraction`` facets are made on first use;
-    recomputation under concurrent access yields an identical value, so the
-    cache is race-free.
+    the vertices on it.  The ``Fraction`` facets are made on first use.
     """
 
     __slots__ = ("dim", "vertices", "rows", "facet_rows", "incidence", "symmetric", "_facets")

@@ -1,9 +1,12 @@
+import logging
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from sympolar.capacity import (
     CapacityError,
     CertificateError,
     SearchBudgetError,
+    _clique_bound,
     _search,
     ehz_brute_force,
     equal_weight_certificate,
@@ -190,6 +194,16 @@ def test_budget_error():
     assert err.value.configurations > 1
 
 
+def test_budget_counts_solved_configurations(p2):
+    # P_2 at the default bound solves 442 of its 25368 configurations; the
+    # clique bound prunes the rest, and they do not count against the budget
+    capacity, _ = ehz_brute_force(p2, mode="vertices", max_configs=442)
+    assert capacity == F(5, 2)
+    with pytest.raises(SearchBudgetError) as err:
+        ehz_brute_force(p2, mode="vertices", max_configs=441)
+    assert err.value.configurations == 442
+
+
 def test_vertices_mode_needs_self_polar(square):
     with pytest.raises(CapacityError):
         ehz_brute_force(square, mode="vertices")
@@ -199,6 +213,34 @@ def test_capacity_needs_symmetry():
     triangle = convex_hull([(1, 0), (-1, 1), (-1, -2)])
     with pytest.raises(CapacityError):
         ehz_brute_force(triangle)
+
+
+def test_capacity_p3_reaches_the_lower_bound(p3):
+    # the paper's value c_EHZ(P_3) = 2 + 1/3, found by the search at the
+    # default bound and budget, with the suspension chain's objective
+    capacity, cert = ehz_brute_force(p3, mode="vertices")
+    assert capacity == F(7, 3) >= 2 + F(1, 3)
+    assert cert.coeffs == (F(1, 7),) * 7
+    chain = make_suspension_certificate(
+        make_suspension_certificate(equal_weight_certificate(1), F(3)), F(5, 2)
+    )
+    assert evaluate_certificate(p3, cert) == chain.objective == F(3, 7)
+
+
+def test_capacity_p2_full_search_is_pruned(p2, caplog):
+    # the certified-complete P_2 search, pinned; a lost prune shows in the
+    # count of configurations solved that the search logs
+    with caplog.at_level(logging.INFO, logger="sympolar.capacity"):
+        capacity, cert = ehz_brute_force(p2, support_bound=8, mode="vertices")
+    assert capacity == F(5, 2)
+    assert cert.indices == ((0, 1), (1, -1), (3, -1), (2, -1), (4, -1))
+    assert cert.coeffs == (F(1, 5),) * 5
+    solved, pruned = map(
+        int, re.search(r"solved (\d+) configurations, pruned (\d+)", caplog.text).groups()
+    )
+    total = sum(comb(8, k) * factorial(k - 1) * 2 ** (k - 1) for k in range(2, 9))
+    assert solved + pruned == total == 1_146_648
+    assert solved < total // 20
 
 
 # --- suspension certificates --------------------------------------------------
@@ -337,6 +379,19 @@ def test_search_matches_fraction_reference(hexa, square, cross2, octagon, p2, pr
         assert got == _reference_search(poly, bound, mode)
 
 
+def test_bounded_search_matches_fraction_reference(octagon):
+    # below the full bound the clique bound decides between close values:
+    # the octagon's best pairs reach 1/16 and only the triple (0, 1, 3),
+    # whose largest |omega| is on its outer pair, reaches 1/15
+    rng = random.Random(7)
+    polygons = [random_symmetric_polytope(rng, 2, points=4) for _ in range(3)]
+    for poly in [octagon] + polygons:
+        for bound in (2, 3):
+            got = ehz_brute_force(poly, support_bound=bound)
+            assert got == _reference_search(poly, bound)
+    assert ehz_brute_force(octagon, support_bound=3)[0] == 15
+
+
 def test_search_rejects_zero_coefficients():
     # the triple's best stationary point ties with the pair (0, 2) at value
     # 1/2 but puts weight 0 on generator 1; it is a point of the pair's face,
@@ -348,6 +403,46 @@ def test_search_rejects_zero_coefficients():
     assert key == ((0, 2), (0, 2), (1, -1))
     assert F(num, den) == 1
     assert [F(c, Q) for c in z] == [F(1, 2), F(1, 2)]
+
+
+def _integer_omega(P, mode):
+    base = generator_base(P, mode)
+    W = [[omega(a, b) for b in base] for a in base]
+    scale = lcm(*(c.denominator for row in W for c in row))
+    return [[int(c * scale) for c in row] for row in W]
+
+
+def test_clique_bound_dominates_every_support(hexa, octagon, p2, products):
+    # Motzkin-Straus: every configuration on a support S has value
+    # det/Q <= w (kappa - 1)/kappa, with w the largest |W_ab| on S and kappa
+    # the clique number of S's nonzero-W graph; the search skips supports on
+    # this bound, so it must hold on every support, and the hexagon's
+    # triangle attains it, so no tighter bound of this form is sound
+    cases = [
+        (hexa, "vertices", 3),
+        (octagon, "facet-normals", 4),
+        (p2, "vertices", 8),
+        (products["rectangle_x_hexagon"], "facet-normals", 5),
+        (products["hexagon_x_hexagon"], "facet-normals", 6),
+    ]
+    for poly, mode, bound in cases:
+        W = _integer_omega(poly, mode)
+        clique_bound = _clique_bound(W)
+        for k in range(2, bound + 1):
+            for S in combinations(range(len(W)), k):
+                w, kappa = clique_bound(sum(1 << a for a in S))
+                assert w == max(abs(W[a][b]) for a, b in combinations(S, 2))
+                assert kappa == max(
+                    r
+                    for r in range(1, k + 1)
+                    for C in combinations(S, r)
+                    if all(W[a][b] for a, b in combinations(C, 2))
+                )
+                best, _ = _search([S], W)
+                if best is not None:
+                    assert F(best[0], best[1]) <= F(w * (kappa - 1), kappa)
+    best, _ = _search([(0, 1, 2)], _integer_omega(hexa, "vertices"))
+    assert F(best[0], best[1]) == F(2, 3) == F(1 * (3 - 1), 3)
 
 
 @pytest.mark.parametrize(
