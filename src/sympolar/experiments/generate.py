@@ -119,7 +119,6 @@ def random_selfpolar(
     K = convex_hull(points + [vneg(p) for p in points])
 
     trace: list[IterationStep] = []
-    self_polar = False
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
@@ -130,18 +129,9 @@ def random_selfpolar(
         for rep, row in pairs:
             if all(abs(omega_rows(row, other)) <= row[-1] * other[-1] for _, other in chosen):
                 chosen.append((rep, row))
-        if len(chosen) == len(pairs):
-            self_polar = True
-            trace.append(
-                IterationStep(
-                    polar_vertex_count=len(polar.vertices),
-                    pair_count=len(pairs),
-                    selected_pairs=len(chosen),
-                    vertex_count_after=len(K.vertices),
-                )
-            )
-            break
-        K = expand_step(K, [p for p, _ in chosen] + [vneg(p) for p, _ in chosen])
+        self_polar = len(chosen) == len(pairs)
+        if not self_polar:
+            K = expand_step(K, [p for p, _ in chosen] + [vneg(p) for p, _ in chosen])
         trace.append(
             IterationStep(
                 polar_vertex_count=len(polar.vertices),
@@ -150,6 +140,8 @@ def random_selfpolar(
                 vertex_count_after=len(K.vertices),
             )
         )
+        if self_polar:
+            break
 
     self_polar = self_polar and is_self_polar(K)
     return ExperimentRecord(
@@ -271,9 +263,10 @@ def write_batch_csv(path, outcomes):
 
 
 BIN_WIDTH = 0.05  # volume histogram resolution
+SVG_WIDTH, SVG_HEIGHT = 640, 360  # histogram size in pixels
 
 
-def write_histogram_svg(path, values, width=640, height=360):
+def write_histogram_svg(path, values):
     """Fixed-bin-width volume histogram; values are float renderings only."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -287,26 +280,26 @@ def write_histogram_svg(path, values, width=640, height=360):
         counts[int(v / BIN_WIDTH) - lo_bin] += 1
     peak = max(counts)
     margin = 40
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin
+    plot_w = SVG_WIDTH - 2 * margin
+    plot_h = SVG_HEIGHT - 2 * margin
     bar_w = plot_w / len(counts)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     for i, count in enumerate(counts):
         if count == 0:
             continue
         bar_h = plot_h * count / peak
         x = margin + i * bar_w
-        y = height - margin - bar_h
+        y = SVG_HEIGHT - margin - bar_h
         parts.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
             f'height="{bar_h:.2f}" fill="#4477aa" stroke="white"/>'
         )
-    axis_y = height - margin
+    axis_y = SVG_HEIGHT - margin
     parts.append(
-        f'<line x1="{margin}" y1="{axis_y}" x2="{width - margin}" y2="{axis_y}" stroke="black"/>'
+        f'<line x1="{margin}" y1="{axis_y}" x2="{SVG_WIDTH - margin}" y2="{axis_y}" stroke="black"/>'
     )
     for i in range(len(counts) + 1):
         if (lo_bin + i) % 4 == 0:

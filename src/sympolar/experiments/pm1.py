@@ -2,9 +2,11 @@
 
 Antipodal pairs of nonzero sign vectors form a compatibility graph with an
 edge where |omega| <= 1; every inclusion-maximal clique spans a candidate
-polytope that already sits inside its symplectic polar, and the reverse
-inclusion is decided by the pairwise check on the polar's vertices.  The
-surviving polytopes are classified by vertex count and exact volume.
+polytope whose vertices are pairwise within the form bound, so it already
+sits inside its symplectic polar.  Given that, it is self-polar exactly
+when the polar lies inside it, which ``is_self_polar`` decides; the other
+cliques are counted as rejected.  The self-polar polytopes are classified
+by vertex count and exact volume.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 from itertools import product
 
 from sympolar.geometry import Polytope, convex_hull, volume
-from sympolar.linalg import Vec, vneg
-from sympolar.symplectic import check_subset_sympolar, omega, symplectic_polar
+from sympolar.linalg import Vec, bits, homogeneous, vneg
+from sympolar.symplectic import is_self_polar, omega_rows
 
 log = logging.getLogger(__name__)
 
@@ -53,12 +55,14 @@ def sign_vector_pairs(dim: int) -> list[Vec]:
 
 def compatibility_adjacency(reps: list[Vec]) -> list[int]:
     """Bitmask adjacency; the edge relation |omega(v, w)| <= 1 is well
-    defined on antipodal pairs."""
-    n = len(reps)
+    defined on antipodal pairs.  Sign vectors are integer, so their
+    homogeneous rows are (v, 1) and omega is read off them directly."""
+    rows = [homogeneous(r) for r in reps]
+    n = len(rows)
     adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(omega(reps[i], reps[j])) <= 1:
+            if abs(omega_rows(rows[i], rows[j])) <= 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
@@ -69,12 +73,6 @@ def maximal_cliques(adj: list[int], budget: int | None = None):
     stops after ``budget`` cliques when a budget is given."""
     n = len(adj)
     emitted = 0
-
-    def bits(x: int):
-        while x:
-            low = x & -x
-            yield low.bit_length() - 1
-            x ^= low
 
     def expand(r: int, p: int, x: int):
         nonlocal emitted
@@ -87,7 +85,7 @@ def maximal_cliques(adj: list[int], budget: int | None = None):
         pivot = -1
         best = -1
         for u in bits(p | x):
-            size = bin(p & adj[u]).count("1")
+            size = (p & adj[u]).bit_count()
             if size > best:
                 best = size
                 pivot = u
@@ -102,15 +100,7 @@ def maximal_cliques(adj: list[int], budget: int | None = None):
 
 
 def _clique_polytope(reps: list[Vec], clique: int) -> Polytope:
-    points = []
-    mask = clique
-    while mask:
-        low = mask & -mask
-        rep = reps[low.bit_length() - 1]
-        points.append(rep)
-        points.append(vneg(rep))
-        mask ^= low
-    return convex_hull(points)
+    return convex_hull([p for i in bits(clique) for p in (reps[i], vneg(reps[i]))])
 
 
 def enumerate_pm1(dim: int, budget: int | None = None) -> Pm1Result:
@@ -133,12 +123,7 @@ def enumerate_pm1(dim: int, budget: int | None = None) -> Pm1Result:
     for clique in maximal_cliques(adj, budget):
         cliques_seen += 1
         poly = _clique_polytope(reps, clique)
-        ok, witness = check_subset_sympolar(poly)
-        if not ok:
-            raise RuntimeError(
-                f"clique polytope escaped its symplectic polar: {witness}"
-            )
-        if not check_subset_sympolar(symplectic_polar(poly))[0]:
+        if not is_self_polar(poly):
             rejected += 1
             continue
         key = (len(poly.vertices), volume(poly))

@@ -17,7 +17,6 @@ from sympolar.suspension import volume_closed_form
 
 #: pi is strictly below 22/7; enough to anchor the one cross-parity comparison.
 PI_UPPER = Fraction(22, 7)
-PI_LOWER = Fraction(223, 71)
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,10 @@ def sequence_compare(n: int) -> SequenceValue:
 
 def compare_parity_ratio(n: int) -> Fraction:
     """a_{n+2}/a_n of the comparison sequence, a rational number because the
-    two terms share parity."""
-    return (sequence_compare(n + 2) / sequence_compare(n)).as_fraction()
+    two terms share parity: (n+2)(4n+2)(4n+6) / ((n+1)(4n+3)(4n+7))."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return Fraction((n + 2) * (4 * n + 2) * (4 * n + 6), (n + 1) * (4 * n + 3) * (4 * n + 7))
 
 
 def sequence_viterbo_ratio(n: int) -> Fraction:
@@ -110,6 +111,8 @@ def viterbo_step_ratio(n: int) -> Fraction:
 
 COMPARE_ASYMPTOTE = math.gamma(0.75) / math.sqrt(2.0)
 VITERBO_ASYMPTOTE = math.sqrt(math.pi) / (math.exp(0.5) * math.gamma(0.75))
+ASYMPTOTE_N = 10**6  # where the n^(1/4) asymptote is checked
+ASYMPTOTE_TOL = 0.01  # its allowed relative error
 
 
 def _compare_float(n: int) -> float:
@@ -151,9 +154,7 @@ class MonotonicityReport:
     asymptote_ok: bool
 
 
-def monotonicity_check(
-    kind: str, n_max: int, asymptote_n: int = 10**6, asymptote_tol: float = 0.01
-) -> MonotonicityReport:
+def monotonicity_check(kind: str, n_max: int) -> MonotonicityReport:
     """Exact strict-growth check up to n_max plus a floating-point check of
     the n^(1/4) asymptote.
 
@@ -173,14 +174,14 @@ def monotonicity_check(
         a2 = sequence_compare(2).as_fraction()
         anchor_ok = sequence_compare(1).coefficient * PI_UPPER < a2
         minimum = sequence_compare(1)
-        observed = _compare_float(asymptote_n) / asymptote_n**0.25
+        observed = _compare_float(ASYMPTOTE_N) / ASYMPTOTE_N**0.25
         target = COMPARE_ASYMPTOTE
     elif kind == "viterbo":
         for n in range(1, n_max + 1):
             if viterbo_step_ratio(n) <= 1:
                 failures.append(n)
         minimum = SequenceValue(sequence_viterbo_ratio(1), 0)
-        observed = _viterbo_float(asymptote_n) / asymptote_n**0.25
+        observed = _viterbo_float(ASYMPTOTE_N) / ASYMPTOTE_N**0.25
         target = VITERBO_ASYMPTOTE
     else:
         raise ValueError(f"unknown sequence kind {kind!r}")
@@ -192,9 +193,9 @@ def monotonicity_check(
         failures=tuple(failures),
         anchor_ok=anchor_ok,
         minimum=minimum,
-        asymptote_n=asymptote_n,
+        asymptote_n=ASYMPTOTE_N,
         asymptote_observed=observed,
         asymptote_target=target,
         asymptote_rel_err=rel_err,
-        asymptote_ok=rel_err <= asymptote_tol,
+        asymptote_ok=rel_err <= ASYMPTOTE_TOL,
     )

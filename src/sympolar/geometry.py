@@ -29,11 +29,13 @@ from typing import Iterable, Sequence
 from sympolar.linalg import (
     Vec,
     as_vec,
+    bits,
     dehomogenize,
     dot,
     fraction_vec_to_int,
     homogeneous,
     independent_rows,
+    int_adjugate,
     int_det,
     int_dot,
     invert,
@@ -90,14 +92,6 @@ class HalfSpace:
         return dot(self.normal, point) == self.offset
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _antipode(row: Row) -> Row:
     """The homogeneous row of -v, for the row of v."""
     return tuple(-c for c in row[:-1]) + row[-1:]
@@ -150,7 +144,7 @@ class Polytope:
         """For each facet, in the order of ``facets``, the indices of the
         vertices lying on it."""
         pairs = sorted(zip(self._halfspaces(), self.incidence))
-        return tuple(frozenset(_bits(mask)) for _, mask in pairs)
+        return tuple(frozenset(bits(mask)) for _, mask in pairs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polytope):
@@ -203,8 +197,10 @@ def vertex_enumeration(
     order = basis + [i for i in range(len(rows)) if i not in set(basis)]
     ordered = [rows[i] for i in order]
 
-    inverse = invert([[Fraction(c) for c in ordered[i]] for i in range(n)])
-    rays: list[Row] = [fraction_vec_to_int(col) for col in transpose(inverse)]
+    # the initial rays are the columns of B^-1 for the basis B, taken from
+    # adj(B) = det(B) B^-1 times the sign of det(B)
+    det, adj = int_adjugate(ordered[:n])
+    rays: list[Row] = [primitive([c if det > 0 else -c for c in col]) for col in zip(*adj)]
     full_mask = (1 << n) - 1
     masks: list[int] = [full_mask & ~(1 << j) for j in range(n)]
 
@@ -273,7 +269,7 @@ def _incidence(rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...
 def _spans_facet(rows: Sequence[Row], mask: int, dim: int) -> bool:
     """Whether the points of ``mask``, which lie on one hyperplane, span a
     (dim-1)-dimensional affine space: their rows have rank dim."""
-    return len(independent_rows([rows[i] for i in _bits(mask)], dim)) == dim
+    return len(independent_rows([rows[i] for i in bits(mask)], dim)) == dim
 
 
 def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...]:
@@ -297,7 +293,7 @@ def _polytope(dim: int, points: Sequence[Vec], rows, facet_rows, incidence, keep
     renumbered = []
     for mask in incidence:
         new = 0
-        for i in _bits(mask):
+        for i in bits(mask):
             if i in position:
                 new |= 1 << position[i]
         renumbered.append(new)
@@ -353,7 +349,7 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     # A point is extreme exactly when the facets through it meet in it alone.
     meet = [-1] * len(pts)
     for mask in incidence:
-        for i in _bits(mask):
+        for i in bits(mask):
             meet[i] &= mask
     keep = [i for i in range(len(pts)) if meet[i] == 1 << i]
     return _polytope(dim, pts, rows, facet_rows, incidence, keep)
@@ -399,7 +395,7 @@ def _polar(P: Polytope, coords: Sequence[tuple[int, int]]) -> Polytope:
 
     transposed = [0] * len(P.rows)
     for j, mask in enumerate(P.incidence):
-        for i in _bits(mask):
+        for i in bits(mask):
             transposed[i] |= 1 << j
     rows = [move(f) for f in P.facet_rows]
     points = [dehomogenize(r) for r in rows]
@@ -476,10 +472,10 @@ def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
             for g in faces[i + 1 :]:
                 h = f & g
                 if h not in tested and h.bit_count() >= k:
-                    tested[h] = len(independent_rows([P.rows[t] for t in _bits(h)], k)) == k
+                    tested[h] = len(independent_rows([P.rows[t] for t in bits(h)], k)) == k
         levels[k - 1] = [h for h, is_face in tested.items() if is_face]
     return {
-        k: sorted((frozenset(_bits(mask)) for mask in level), key=sorted)
+        k: sorted((frozenset(bits(mask)) for mask in level), key=sorted)
         for k, level in levels.items()
     }
 

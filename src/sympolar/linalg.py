@@ -99,6 +99,14 @@ def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
 # Integer rows.
 
 
+def bits(mask: int):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 

@@ -82,20 +82,6 @@ def symplectic_polar(P: Polytope) -> Polytope:
     return _polar(P, [next((int(c), k) for k, c in enumerate(row) if c) for row in matrix])
 
 
-def _first_violation(verts, rows) -> Witness | None:
-    """The first vertex pair (v, w), scanning index pairs i < j, with
-    omega(v, w) > 1 or omega(w, v) > 1; returned as (v, w, omega(v, w))."""
-    for i, x in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            y = rows[j]
-            value, bound = omega_rows(x, y), x[-1] * y[-1]
-            if value > bound:
-                return verts[i], verts[j], Fraction(value, bound)
-            if -value > bound:
-                return verts[j], verts[i], Fraction(-value, bound)
-    return None
-
-
 def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
     """Whether P is contained in its symplectic polar.
 
@@ -103,8 +89,16 @@ def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
     vertices; on failure the lexicographically first violating pair and its
     form value are returned as a witness.
     """
-    witness = _first_violation(P.vertices, P.rows)
-    return witness is None, witness
+    verts, rows = P.vertices, P.rows
+    for i, x in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            y = rows[j]
+            value, bound = omega_rows(x, y), x[-1] * y[-1]
+            if value > bound:
+                return False, (verts[i], verts[j], Fraction(value, bound))
+            if -value > bound:
+                return False, (verts[j], verts[i], Fraction(-value, bound))
+    return True, None
 
 
 def is_self_polar(P: Polytope) -> bool:
@@ -124,34 +118,27 @@ def c_j(P: Polytope) -> Fraction:
 
 
 def expand_step(K: Polytope, S: Sequence[Sequence]) -> Polytope:
-    """Grow K, which must satisfy K subseteq K^omega, by a centrally
-    symmetric subset S of the vertices of K^omega whose pairs all satisfy
-    omega(v, w) <= 1.  The result again lies inside its own symplectic polar,
-    which is asserted after construction."""
-    ok, witness = check_subset_sympolar(K)
-    if not ok:
-        raise ExpansionError(
-            f"polytope is not inside its symplectic polar, witness {witness}", witness
-        )
+    """Grow K by a centrally symmetric set S of vertices of K^omega, to the
+    hull of K and S, which must lie inside its own symplectic polar.
+
+    That one check on the result also covers K subseteq K^omega and
+    omega(v, w) <= 1 on pairs of S: the result contains K and S, and the
+    bilinear form takes its maximum over it at a pair of its vertices.  A
+    failure raises ExpansionError with a violating vertex pair of the grown
+    body as witness.
+    """
     points = [as_vec(p) for p in S]
     point_set = set(points)
     if {vneg(p) for p in points} != point_set:
         raise ExpansionError("expansion set is not centrally symmetric")
-    polar = symplectic_polar(K)
-    polar_rows = dict(zip(polar.vertices, polar.rows))
+    polar_vertices = set(symplectic_polar(K).vertices)
     for p in points:
-        if p not in polar_rows:
+        if p not in polar_vertices:
             raise ExpansionError(
                 f"expansion point {p} is not a vertex of the symplectic polar",
                 (p,),
             )
-    ordered = sorted(point_set)
-    witness = _first_violation(ordered, [polar_rows[p] for p in ordered])
-    if witness is not None:
-        raise ExpansionError(f"expansion pair violates the form bound: {witness}", witness)
-    if not points:
-        return K
-    grown = convex_hull(list(K.vertices) + ordered)
+    grown = convex_hull(list(K.vertices) + sorted(point_set))
     ok, witness = check_subset_sympolar(grown)
     if not ok:
         raise ExpansionError(

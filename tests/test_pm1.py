@@ -119,6 +119,16 @@ def test_dim6_tiny_budget_is_partial():
         assert cls.representative.dim == 6
 
 
+def test_dim6_filter_rejects_a_clique():
+    # the 27th maximal clique in dim 6, on 54 vertices, is the first whose
+    # polytope is not self-polar
+    result = enumerate_pm1(6, budget=27)
+    assert not result.complete
+    assert result.cliques_seen == 27
+    assert result.rejected == 1
+    assert sum(cls.count for cls in result.classes) == 26
+
+
 def test_odd_dimension_rejected():
     with pytest.raises(ValueError):
         enumerate_pm1(3)

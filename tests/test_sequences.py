@@ -50,6 +50,12 @@ def test_compare_parity_ratio_formula():
         assert compare_parity_ratio(n) == expected
 
 
+def test_compare_parity_ratio_matches_sequence():
+    for n in range(1, 200):
+        ratio = sequence_compare(n + 2) / sequence_compare(n)
+        assert compare_parity_ratio(n) == ratio.as_fraction()
+
+
 def test_viterbo_values():
     assert sequence_viterbo_ratio(1) == 1
     assert sequence_viterbo_ratio(2) == F(28, 25)

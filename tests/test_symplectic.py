@@ -217,6 +217,24 @@ def test_expand_rejects_non_polar_vertex(cross2):
         expand_step(cross2, [(2, 2), (-2, -2)])
 
 
+def test_expand_rejects_body_outside_its_polar(square):
+    # the square is not inside its polar, whatever S is; only the result
+    # check sees it, on the rebuilt body for S empty and on the unchanged
+    # body for (1, 0), a vertex of the square's polar inside the square
+    with pytest.raises(ExpansionError):
+        expand_step(square, [])
+    with pytest.raises(ExpansionError):
+        expand_step(square, [(1, 0), (-1, 0)])
+
+
+def test_expand_rejects_interior_polar_point(cross2):
+    # (1/2, 1/2) lies inside the polar of the cross but is not a vertex;
+    # the grown body would stay inside its polar, so only the vertex
+    # membership check rejects it
+    with pytest.raises(ExpansionError):
+        expand_step(cross2, [(F(1, 2), F(1, 2)), (F(-1, 2), F(-1, 2))])
+
+
 def test_expand_rejects_incompatible_pairs(square, cross2):
     # (1,1) and (1,-1) are polar vertices of the cross but omega = -2
     polar = symplectic_polar(cross2)
