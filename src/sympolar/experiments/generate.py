@@ -15,10 +15,11 @@ import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
-from sympolar.geometry import Polytope, convex_hull, volume
-from sympolar.linalg import Vec, rank, vneg
+from sympolar.geometry import Polytope, Row, convex_hull, volume
+from sympolar.linalg import Vec, fraction_vec_to_int, independent_rows, vneg
 from sympolar.symplectic import expand_step, is_self_polar, omega_rows, symplectic_polar
 
 log = logging.getLogger(__name__)
@@ -70,30 +71,32 @@ def _sample_point(rng: random.Random, dim: int) -> Vec:
     return tuple(_round_to_grid(g / norm * radius) for g in gauss)
 
 
-def _general_position_with(accepted: list[Vec], candidate: Vec, dim: int) -> bool:
-    """Every dim-subset of the points must be linearly independent, which is
-    general position together with the origin."""
-    from itertools import combinations
-
-    if rank([candidate]) == 0:
+def _general_position_with(accepted: list[Row], candidate: Row, dim: int) -> bool:
+    """Every dim-subset of the points, given as integer rows, must be
+    linearly independent, which is general position together with the
+    origin."""
+    if not any(candidate):
         return False
-    for subset in combinations(accepted, dim - 1):
-        if rank(list(subset) + [candidate]) < dim:
-            return False
-    return True
+    return all(
+        len(independent_rows([*subset, candidate], dim)) == dim
+        for subset in combinations(accepted, dim - 1)
+    )
 
 
 def sample_start_points(rng: random.Random, dim: int, k: int) -> list[Vec]:
     """k rational points strictly inside the unit ball, rounded to the
     2^-16 grid, rejection-sampled into general position."""
     accepted: list[Vec] = []
+    rows: list[Row] = []
     while len(accepted) < k:
         candidate = _sample_point(rng, dim)
         if sum(c * c for c in candidate) >= 1:
             continue
-        if not _general_position_with(accepted, candidate, dim):
+        row = fraction_vec_to_int(candidate)
+        if not _general_position_with(rows, row, dim):
             continue
         accepted.append(candidate)
+        rows.append(row)
     return accepted
 
 

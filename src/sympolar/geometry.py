@@ -15,7 +15,12 @@ and reused by the face lattice, the volume and the polar.
 Facet enumeration uses incremental insertion of halfspaces in the
 double-description style on the homogenization cone, which is robust under
 the heavy degeneracies of the symmetric polytopes this kernel targets
-(dimension <= 8, a few hundred vertices).
+(dimension <= 8, a few hundred vertices).  A polytope with the origin
+interior already holds the double-description pair of its polar cone: its
+facet rows are the cone's extreme rays and its incidence their tight sets.
+Growing it by a few points (``_grow_hull``) therefore starts from that pair
+and inserts only the new points' constraints; the cold start in
+``vertex_enumeration`` and this warm start share one insertion loop.
 """
 
 from __future__ import annotations
@@ -171,6 +176,49 @@ def _halfspace_rows(halfspaces: Sequence[tuple[Vec, Fraction]]) -> list[Row]:
     )
 
 
+def _cut(
+    rays: list[Row], masks: list[int], constraints: Sequence[Row], first_bit: int, dim: int
+) -> tuple[list[Row], list[int]]:
+    """One double-description pass: the extreme rays of the cone spanned by
+    ``rays``, a pointed cone in R^(dim+1) given by all its extreme rays, cut
+    by each constraint row r . x >= 0 in turn.  ``masks`` holds, per ray,
+    the bits of the constraints already imposed that it is tight on;
+    constraint j of ``constraints`` takes bit ``first_bit + j``."""
+    for idx, row in enumerate(constraints, first_bit):
+        bit = 1 << idx
+        vals = [int_dot(row, ray) for ray in rays]
+        if all(v >= 0 for v in vals):
+            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+            continue
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        fresh: list[Row] = []
+        fresh_masks: list[int] = []
+        for p in plus:
+            zp = masks[p]
+            for m in minus:
+                zpn = zp & masks[m]
+                if zpn.bit_count() < dim - 1:
+                    continue
+                # adjacent unless a third ray is tight on all of their constraints
+                if any((zk & zpn) == zpn for k, zk in enumerate(masks) if k != p and k != m):
+                    continue
+                combo = primitive(
+                    [vals[p] * rm - vals[m] * rp for rp, rm in zip(rays[p], rays[m])]
+                )
+                fresh.append(combo)
+                fresh_masks.append(zpn | bit)
+        keep = plus + zero
+        rays = [rays[i] for i in keep] + fresh
+        masks = [
+            masks[i] | bit if vals[i] == 0 else masks[i] for i in keep
+        ] + fresh_masks
+        if not rays:
+            raise GeometryError("halfspace system has empty interior")
+    return rays, masks
+
+
 def vertex_enumeration(
     halfspaces: Sequence[tuple[Vec, Fraction]], dim: int, *, integer_rows: bool = False
 ) -> list[Vec] | list[Row]:
@@ -204,39 +252,7 @@ def vertex_enumeration(
     full_mask = (1 << n) - 1
     masks: list[int] = [full_mask & ~(1 << j) for j in range(n)]
 
-    for idx in range(n, len(ordered)):
-        row = ordered[idx]
-        bit = 1 << idx
-        vals = [int_dot(row, ray) for ray in rays]
-        if all(v >= 0 for v in vals):
-            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
-            continue
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        fresh: list[Row] = []
-        fresh_masks: list[int] = []
-        for p in plus:
-            zp = masks[p]
-            for m in minus:
-                zpn = zp & masks[m]
-                if zpn.bit_count() < dim - 1:
-                    continue
-                # adjacent unless a third ray is tight on all of their constraints
-                if any((zk & zpn) == zpn for k, zk in enumerate(masks) if k != p and k != m):
-                    continue
-                combo = primitive(
-                    [vals[p] * rm - vals[m] * rp for rp, rm in zip(rays[p], rays[m])]
-                )
-                fresh.append(combo)
-                fresh_masks.append(zpn | bit)
-        keep = plus + zero
-        rays = [rays[i] for i in keep] + fresh
-        masks = [
-            masks[i] | bit if vals[i] == 0 else masks[i] for i in keep
-        ] + fresh_masks
-        if not rays:
-            raise GeometryError("halfspace system has empty interior")
+    rays, _ = _cut(rays, masks, ordered[n:], n, dim)
 
     for ray in rays:
         if ray[dim] == 0:
@@ -344,15 +360,50 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
         primitive([m * a for a in u[:-1]] + [-m * u[-1] - int_dot(u[:-1], center)])
         for u in vertex_enumeration(shifted, dim, integer_rows=True)
     ]
+    return _hull_polytope(dim, pts, rows, facet_rows)
+
+
+def _hull_polytope(dim: int, points: Sequence[Vec], rows, facet_rows) -> Polytope:
+    """The hull of ``points`` from its facet rows: the consistency check of
+    every point against every facet, then the extreme points."""
     incidence = _check_consistency(dim, rows, facet_rows)
 
     # A point is extreme exactly when the facets through it meet in it alone.
-    meet = [-1] * len(pts)
+    meet = [-1] * len(points)
     for mask in incidence:
         for i in bits(mask):
             meet[i] &= mask
-    keep = [i for i in range(len(pts)) if meet[i] == 1 << i]
-    return _polytope(dim, pts, rows, facet_rows, incidence, keep)
+    keep = [i for i in range(len(points)) if meet[i] == 1 << i]
+    return _polytope(dim, points, rows, facet_rows, incidence, keep)
+
+
+def _grow_hull(P: Polytope, points: Iterable[Sequence]) -> Polytope:
+    """``convex_hull(list(P.vertices) + points)`` for P with the origin
+    interior, warm-started from P's double-description pair.
+
+    The facets of the hull are the vertices of its polar, which is P's polar
+    cut by <q, u> <= 1 for each new point q.  So the double description
+    starts from P's polar cone, whose extreme rays are P's facet rows
+    (a, -b) read as (a, b) and whose tight sets are ``P.incidence``, with
+    bit i for the constraint of ``P.rows[i]``; only the new points'
+    constraints are inserted, in the given order.
+    """
+    if not P.origin_interior():
+        raise PolarityDomainError("origin is not interior to the polytope")
+    pts, rows = list(P.vertices), list(P.rows)
+    known = set(rows)
+    for p in points:
+        v = as_vec(p)
+        row = homogeneous(v)
+        if row not in known:
+            known.add(row)
+            pts.append(v)
+            rows.append(row)
+    rays = [f[:-1] + (-f[-1],) for f in P.facet_rows]
+    constraints = [_antipode(r) for r in rows[len(P.rows) :]]  # (-V, d): <q, u> <= t, q = V/d
+    rays, _ = _cut(rays, list(P.incidence), constraints, len(P.rows), P.dim)
+    facet_rows = [r[:-1] + (-r[-1],) for r in rays]
+    return _hull_polytope(P.dim, pts, rows, facet_rows)
 
 
 def from_halfspaces(
@@ -378,6 +429,13 @@ def from_halfspaces(
 # Operations.
 
 
+def _move(row: Row, coords: Sequence[tuple[int, int]]) -> Row:
+    """``row`` moved by the signed coordinate permutation ``coords`` of
+    ``_polar``, with its last entry negated: a facet row (a, -b) becomes a
+    vertex row of the polar, a vertex row (V, d) one of its facet rows."""
+    return tuple(s * row[k] for s, k in coords) + (-row[-1],)
+
+
 def _polar(P: Polytope, coords: Sequence[tuple[int, int]]) -> Polytope:
     """The polar body of P followed by the signed coordinate permutation
     whose output coordinate k is ``sign * x[index]``, ``coords[k] = (sign, index)``.
@@ -390,16 +448,14 @@ def _polar(P: Polytope, coords: Sequence[tuple[int, int]]) -> Polytope:
     if not P.origin_interior():
         raise PolarityDomainError("origin is not interior to the polytope")
 
-    def move(row: Row) -> Row:
-        return tuple(s * row[k] for s, k in coords) + (-row[-1],)
-
     transposed = [0] * len(P.rows)
     for j, mask in enumerate(P.incidence):
         for i in bits(mask):
             transposed[i] |= 1 << j
-    rows = [move(f) for f in P.facet_rows]
+    rows = [_move(f, coords) for f in P.facet_rows]
     points = [dehomogenize(r) for r in rows]
-    return _polytope(P.dim, points, rows, [move(r) for r in P.rows], transposed, range(len(rows)))
+    facet_rows = [_move(r, coords) for r in P.rows]
+    return _polytope(P.dim, points, rows, facet_rows, transposed, range(len(rows)))
 
 
 def polar_dual(P: Polytope) -> Polytope:

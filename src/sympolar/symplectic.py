@@ -14,8 +14,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from sympolar.geometry import GeometryError, Polytope, _polar, convex_hull
-from sympolar.linalg import Vec, as_vec, vneg
+from sympolar.geometry import (
+    GeometryError,
+    Polytope,
+    Row,
+    _grow_hull,
+    _move,
+    _polar,
+    convex_hull,  # noqa: F401 - perfbench's tracer test wraps symplectic.convex_hull
+)
+from sympolar.linalg import Vec, as_vec, homogeneous, vneg
 
 Witness = tuple[Vec, Vec, Fraction]
 
@@ -67,11 +75,10 @@ def polar_to_sympolar_matrix(dim: int) -> tuple[Vec, ...]:
     return tuple(rows)
 
 
-def symplectic_polar(P: Polytope) -> Polytope:
-    """The body {y : omega(x, y) <= 1 for all x in P}, for symmetric P with
-    the origin interior; the image of the polar dual under the matrix of
-    ``polar_to_sympolar_matrix``, a signed coordinate permutation, applied
-    to the integer rows."""
+def _sympolar_coords(P: Polytope) -> list[tuple[int, int]]:
+    """The matrix of ``polar_to_sympolar_matrix`` as the signed coordinate
+    permutation ``_polar`` takes, after checking that P has a symplectic
+    polar here: even dimension and symmetric, hence the origin interior."""
     if P.dim % 2 != 0:
         raise GeometryError("symplectic polarity needs even dimension")
     if not P.symmetric:
@@ -79,7 +86,24 @@ def symplectic_polar(P: Polytope) -> Polytope:
             "symplectic polarity is only provided for centrally symmetric bodies"
         )
     matrix = polar_to_sympolar_matrix(P.dim)  # one nonzero entry per row
-    return _polar(P, [next((int(c), k) for k, c in enumerate(row) if c) for row in matrix])
+    return [next((int(c), k) for k, c in enumerate(row) if c) for row in matrix]
+
+
+def _sympolar_rows(P: Polytope) -> list[Row]:
+    """The vertex rows of the symplectic polar, read off P's facet rows
+    without building the polar: each facet row moved by (y1, y2) -> (-y2, y1)
+    blockwise, with the last entry negated.  Raises what
+    ``symplectic_polar`` raises."""
+    coords = _sympolar_coords(P)
+    return [_move(f, coords) for f in P.facet_rows]
+
+
+def symplectic_polar(P: Polytope) -> Polytope:
+    """The body {y : omega(x, y) <= 1 for all x in P}, for symmetric P with
+    the origin interior; the image of the polar dual under the matrix of
+    ``polar_to_sympolar_matrix``, a signed coordinate permutation, applied
+    to the integer rows."""
+    return _polar(P, _sympolar_coords(P))
 
 
 def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
@@ -102,14 +126,15 @@ def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
 
 
 def is_self_polar(P: Polytope) -> bool:
-    """Whether P equals its symplectic polar, as canonical vertex lists."""
-    return symplectic_polar(P) == P
+    """Whether P equals its symplectic polar: both vertex sets as sets of
+    primitive homogeneous rows, so no polar is built."""
+    return set(_sympolar_rows(P)) == set(P.rows)
 
 
 def c_j(P: Polytope) -> Fraction:
     """Reciprocal of the largest |omega| over pairs of points of the
     symplectic polar; the bilinear maximum is attained at vertex pairs."""
-    rows = symplectic_polar(P).rows
+    rows = _sympolar_rows(P)
     pairs = ((x, y) for i, x in enumerate(rows) for y in rows[i + 1 :])
     best = max((Fraction(abs(omega_rows(x, y)), x[-1] * y[-1]) for x, y in pairs), default=0)
     if best == 0:
@@ -121,24 +146,26 @@ def expand_step(K: Polytope, S: Sequence[Sequence]) -> Polytope:
     """Grow K by a centrally symmetric set S of vertices of K^omega, to the
     hull of K and S, which must lie inside its own symplectic polar.
 
-    That one check on the result also covers K subseteq K^omega and
-    omega(v, w) <= 1 on pairs of S: the result contains K and S, and the
-    bilinear form takes its maximum over it at a pair of its vertices.  A
-    failure raises ExpansionError with a violating vertex pair of the grown
-    body as witness.
+    The polar's vertices are read from K's facet rows, and the hull is
+    warm-started from K's double description, inserting only the
+    constraints of S (see ``geometry._grow_hull``).  The one check on the
+    result also covers K subseteq K^omega and omega(v, w) <= 1 on pairs of
+    S: the result contains K and S, and the bilinear form takes its maximum
+    over it at a pair of its vertices.  A failure raises ExpansionError
+    with a violating vertex pair of the grown body as witness.
     """
     points = [as_vec(p) for p in S]
     point_set = set(points)
     if {vneg(p) for p in points} != point_set:
         raise ExpansionError("expansion set is not centrally symmetric")
-    polar_vertices = set(symplectic_polar(K).vertices)
+    polar_rows = set(_sympolar_rows(K))
     for p in points:
-        if p not in polar_vertices:
+        if homogeneous(p) not in polar_rows:
             raise ExpansionError(
                 f"expansion point {p} is not a vertex of the symplectic polar",
                 (p,),
             )
-    grown = convex_hull(list(K.vertices) + sorted(point_set))
+    grown = _grow_hull(K, sorted(point_set))
     ok, witness = check_subset_sympolar(grown)
     if not ok:
         raise ExpansionError(

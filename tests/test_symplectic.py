@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from sympolar.geometry import GeometryError, convex_hull, gauge_norm, polar_dual
+from sympolar.experiments import generate
+from sympolar.experiments.pm1 import (
+    _clique_polytope,
+    compatibility_adjacency,
+    enumerate_pm1,
+    maximal_cliques,
+    sign_vector_pairs,
+)
+from sympolar.geometry import GeometryError, _grow_hull, convex_hull, gauge_norm, polar_dual
 from sympolar.linalg import vneg
+from sympolar.suspension import power_suspend
 from sympolar.symplectic import (
     ExpansionError,
     c_j,
@@ -263,3 +272,76 @@ def test_expand_output_stays_inside_polar_fuzz():
                 chosen.append(rep)
         grown = expand_step(scaled, chosen + [vneg(c) for c in chosen])
         assert check_subset_sympolar(grown) == (True, None)
+
+
+# --- warm-started hull and the polar's rows ----------------------------------
+
+
+def _same_hull(P, Q):
+    return (
+        P.vertices == Q.vertices
+        and P.facets == Q.facets
+        and P.facet_vertex_sets() == Q.facet_vertex_sets()
+    )
+
+
+@pytest.mark.parametrize("seed", [45, 8, 6])
+def test_expand_step_matches_cold_hull_at_every_generation_step(monkeypatch, seed):
+    # panel seeds of the benchmark's generate workload; every step's warm
+    # start must rebuild exactly the hull of K and S made from scratch
+    steps = []
+
+    def checked(K, S):
+        grown = expand_step(K, S)
+        assert _same_hull(grown, convex_hull(list(K.vertices) + list(S)))
+        steps.append(len(grown.vertices))
+        return grown
+
+    monkeypatch.setattr(generate, "expand_step", checked)
+    record = generate.random_selfpolar(4, 10, seed)
+    assert record.self_polar
+    assert len(steps) == record.iterations - 1 >= 2
+
+
+def test_grow_hull_with_interior_boundary_and_repeated_points(p2):
+    rng = random.Random(11)
+    for K in (p2, random_symmetric_polytope(rng, 4), random_symmetric_polytope(rng, 2)):
+        v, w = K.vertices[0], K.vertices[-1]
+        inside = [
+            tuple(0 * c for c in v),
+            tuple(c / 2 for c in v),
+            tuple((a + b) / 2 for a, b in zip(v, w)),
+        ] + [tuple((a + b) / 2 for a, b in zip(v, u)) for u in K.vertices]
+        repeated = list(K.vertices[::2])
+        outside = [tuple(2 * c for c in v), tuple(-2 * c for c in v)]
+        for S in (inside, repeated, inside + repeated, outside + repeated + inside):
+            warm = _grow_hull(K, S)
+            assert _same_hull(warm, convex_hull(list(K.vertices) + S))
+        assert _grow_hull(K, inside + repeated) == K
+        assert _grow_hull(K, []) == K
+
+
+def _rejected_dim6_clique():
+    reps = sign_vector_pairs(6)
+    *_, clique = maximal_cliques(compatibility_adjacency(reps), budget=27)
+    return _clique_polytope(reps, clique)
+
+
+def test_is_self_polar_agrees_with_building_the_polar(square, p2, p3):
+    table1 = [cls.representative for cls in enumerate_pm1(4).classes]
+    generated = generate.random_selfpolar(4, 10, 45).final
+    bodies = table1 + [power_suspend(1), p2, p3, square, generated, _rejected_dim6_clique()]
+    verdicts = [is_self_polar(P) for P in bodies]
+    assert verdicts == [symplectic_polar(P) == P for P in bodies]
+    assert verdicts[-2:] == [True, False] and not verdicts[-3]
+
+
+def test_is_self_polar_raises_the_polar_errors():
+    cube = convex_hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    triangle = convex_hull([(1, 0), (-1, 1), (-1, -2)])
+    off_origin = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    for P in (cube, triangle, off_origin):
+        for fn in (is_self_polar, symplectic_polar, c_j):
+            with pytest.raises(GeometryError) as excinfo:
+                fn(P)
+            assert type(excinfo.value) is GeometryError
