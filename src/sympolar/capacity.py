@@ -31,7 +31,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from sympolar.geometry import Polytope
-from sympolar.linalg import Vec, dot, int_adjugate, vneg
+from sympolar.linalg import Vec, dot, fraction_vec_to_int, int_adjugate, vneg
 from sympolar.suspension import PIVOT, induction_certificate
 from sympolar.symplectic import is_self_polar, omega
 
@@ -156,8 +156,6 @@ def evaluate_certificate(P: Polytope, cert: CapacityCertificate) -> Fraction:
                 raise CertificateError(f"{g} is not a vertex of the polytope")
         normalization = sum(cert.coeffs, ZERO)
     else:
-        from sympolar.linalg import fraction_vec_to_int
-
         directions = {fraction_vec_to_int(f.normal) for f in P.facets}
         for g in vectors:
             if fraction_vec_to_int(g) not in directions:

@@ -36,6 +36,7 @@ from sympolar.experiments import (
 from sympolar.geometry import GeometryError, shadow_area, volume
 from sympolar.io import (
     MalformedInputError,
+    atomic_write_text,
     read_certificate_fields,
     read_polytope,
     write_certificate,
@@ -207,8 +208,6 @@ def _cmd_enumerate_pm1(args) -> int:
             f"{cls.count} cliques"
         )
     out = _out_path(args, args.out or f"pm1_dim{args.dim}.json")
-    from sympolar.io import atomic_write_text
-
     atomic_write_text(out, json.dumps(report, indent=1) + "\n")
     status = "complete" if result.complete else "PARTIAL (budget hit)"
     print(

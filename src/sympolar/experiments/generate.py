@@ -19,8 +19,8 @@ from itertools import combinations
 from pathlib import Path
 
 from sympolar.geometry import Polytope, Row, convex_hull, volume
-from sympolar.linalg import Vec, fraction_vec_to_int, independent_rows, vneg
-from sympolar.symplectic import expand_step, is_self_polar, omega_rows, symplectic_polar
+from sympolar.linalg import Vec, dehomogenize, fraction_vec_to_int, independent_rows, vneg
+from sympolar.symplectic import _sympolar_rows, expand_step, is_self_polar, omega_rows
 
 log = logging.getLogger(__name__)
 
@@ -100,10 +100,10 @@ def sample_start_points(rng: random.Random, dim: int, k: int) -> list[Vec]:
     return accepted
 
 
-def _antipodal_pair_reps(P: Polytope) -> list[tuple[Vec, tuple[int, ...]]]:
-    """The vertices of a symmetric body whose first nonzero coordinate is
-    positive, one per antipodal pair, sorted, with their integer rows."""
-    return [(v, row) for v, row in zip(P.vertices, P.rows) if v > vneg(v)]
+def _antipodal_pair_reps(rows: list[Row]) -> list[tuple[Vec, Row]]:
+    """The points of a symmetric set of homogeneous rows whose first nonzero
+    coordinate is positive, one per antipodal pair, sorted, with their rows."""
+    return sorted((dehomogenize(row), row) for row in rows if next(c for c in row if c) > 0)
 
 
 def random_selfpolar(
@@ -125,10 +125,10 @@ def random_selfpolar(
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        polar = symplectic_polar(K)
-        pairs = _antipodal_pair_reps(polar)
+        polar_rows = _sympolar_rows(K)
+        pairs = _antipodal_pair_reps(polar_rows)
         rng.shuffle(pairs)
-        chosen: list[tuple[Vec, tuple[int, ...]]] = []
+        chosen: list[tuple[Vec, Row]] = []
         for rep, row in pairs:
             if all(abs(omega_rows(row, other)) <= row[-1] * other[-1] for _, other in chosen):
                 chosen.append((rep, row))
@@ -137,7 +137,7 @@ def random_selfpolar(
             K = expand_step(K, [p for p, _ in chosen] + [vneg(p) for p, _ in chosen])
         trace.append(
             IterationStep(
-                polar_vertex_count=len(polar.vertices),
+                polar_vertex_count=len(polar_rows),
                 pair_count=len(pairs),
                 selected_pairs=len(chosen),
                 vertex_count_after=len(K.vertices),

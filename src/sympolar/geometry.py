@@ -10,7 +10,8 @@ v = V/d and d > 0, every facet <a, x> <= b a primitive row (a, -b), and the
 facet-vertex incidence a bitmask per facet.  A vertex is on a facet when
 the integer dot product of their rows is 0 and inside it when it is <= 0.
 The incidence is computed once per hull, by the exact consistency check,
-and reused by the face lattice, the volume and the polar.
+and reused by the polar and by ``_facets_of``, which reads the faces off it
+with no rank test for the face lattice, the volume and ``from_halfspaces``.
 
 Facet enumeration uses incremental insertion of halfspaces in the
 double-description style on the homogenization cone, which is robust under
@@ -26,7 +27,6 @@ and inserts only the new points' constraints; the cold start in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Iterable, Sequence
@@ -282,19 +282,13 @@ def _incidence(rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...
     return tuple(masks)
 
 
-def _spans_facet(rows: Sequence[Row], mask: int, dim: int) -> bool:
-    """Whether the points of ``mask``, which lie on one hyperplane, span a
-    (dim-1)-dimensional affine space: their rows have rank dim."""
-    return len(independent_rows([rows[i] for i in bits(mask)], dim)) == dim
-
-
 def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...]:
     """Check that every point lies inside every facet and that every facet
     is spanned by a (dim-1)-dimensional set of points on it; returns the
     incidence."""
     incidence = _incidence(rows, facet_rows)
     for f, mask in zip(facet_rows, incidence):
-        if not _spans_facet(rows, mask, dim):
+        if len(independent_rows([rows[i] for i in bits(mask)], dim)) < dim:
             raise GeometryError(
                 f"facet row {f} is not supported by a (dim-1)-dimensional vertex set"
             )
@@ -409,18 +403,19 @@ def _grow_hull(P: Polytope, points: Iterable[Sequence]) -> Polytope:
 def from_halfspaces(
     halfspaces: Sequence[tuple[Vec, Fraction]], dim: int
 ) -> Polytope:
-    """Canonical polytope for a bounded halfspace system; redundant
-    halfspaces are pruned by an exact tightness-rank test."""
+    """Canonical polytope for a bounded full-dimensional halfspace system.
+
+    A facet's tight set is inclusion-maximal among the halfspaces' tight
+    sets, and a redundant halfspace's is a smaller face or empty, so the
+    maximal ones are kept.  A halfspace tight on every vertex is an implicit
+    equality: the region is lower-dimensional."""
     candidates = _halfspace_rows(halfspaces)
     rows = vertex_enumeration(candidates, dim, integer_rows=True)
-    affine_dim = len(independent_rows(rows, dim + 1)) - 1
-    if affine_dim != dim:
-        raise DimensionDeficiencyError(dim, affine_dim)
-    kept = [
-        (f, mask)
-        for f, mask in zip(candidates, _incidence(rows, candidates))
-        if _spans_facet(rows, mask, dim)
-    ]
+    incidence = _incidence(rows, candidates)
+    if (1 << len(rows)) - 1 in incidence:
+        raise DimensionDeficiencyError(dim, len(independent_rows(rows)) - 1)
+    facets = set(_maximal(incidence))
+    kept = [(f, mask) for f, mask in zip(candidates, incidence) if mask in facets]
     points = [dehomogenize(r) for r in rows]
     return _polytope(dim, points, rows, *zip(*kept), range(len(rows)))
 
@@ -501,35 +496,41 @@ def volume(P: Polytope) -> Fraction:
     triangulated facets, one determinant per simplex.  The determinant of a
     simplex's homogeneous vertex rows (V_i, d_i) is d_0 ... d_dim times that
     of its edge vectors."""
-    verts = P.vertices
-    d = P.dim
-    if d == 1:
-        return verts[-1][0] - verts[0][0]
     total = ZERO
-    for simplex in _pulling_triangulation(P):
+    for simplex in _pulling_triangulation(P, (1 << len(P.rows)) - 1, P.dim, {}):
         corners = [P.rows[i] for i in simplex]
         total += Fraction(abs(int_det(corners)), prod(r[-1] for r in corners))
-    return total / factorial(d)
+    return total / factorial(P.dim)
+
+
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The distinct inclusion-maximal bitmasks among ``masks``."""
+    kept: list[int] = []
+    # a mask can only lie inside one with at least as many bits
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(m & k == m for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _facets_of(P: Polytope, face: int) -> list[int]:
+    """The facets of a face of P of dimension >= 1, as vertex bitmasks.
+    Every face is the intersection of the facets containing it, so these
+    are the inclusion-maximal intersections of ``face`` with the facets of P
+    that do not contain it."""
+    return _maximal(h for g in P.incidence if (h := face & g) != face)
 
 
 def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
     """Faces of each dimension 1..dim-1 as frozensets of vertex indices.
 
-    Level k-1 is generated from pairwise intersections of level-k faces,
-    which is exhaustive because every (k-1)-face of a polytope is the
-    intersection of two k-faces; an intersection is a (k-1)-face when its
-    vertex rows have rank k.
+    Level dim-1 holds the facets' vertex sets from the incidence, and level
+    k-1 is the union of the facets of the faces in level k (``_facets_of``),
+    so no rank test is made in any dimension.
     """
-    levels = {P.dim - 1: sorted(set(P.incidence))}
+    levels = {P.dim - 1: set(P.incidence)}
     for k in range(P.dim - 1, 1, -1):
-        faces = levels[k]
-        tested: dict[int, bool] = {}
-        for i, f in enumerate(faces):
-            for g in faces[i + 1 :]:
-                h = f & g
-                if h not in tested and h.bit_count() >= k:
-                    tested[h] = len(independent_rows([P.rows[t] for t in bits(h)], k)) == k
-        levels[k - 1] = [h for h, is_face in tested.items() if is_face]
+        levels[k - 1] = {h for face in levels[k] for h in _facets_of(P, face)}
     return {
         k: sorted((frozenset(bits(mask)) for mask in level), key=sorted)
         for k, level in levels.items()
@@ -538,31 +539,30 @@ def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
 
 def f_vector(P: Polytope) -> tuple[int, ...]:
     """Face counts (f_0, ..., f_{dim-1})."""
-    if P.dim == 1:
-        return (len(P.vertices),)
     levels = face_lattice(P)
     return (len(P.vertices),) + tuple(len(levels[k]) for k in range(1, P.dim))
 
 
-def _pulling_triangulation(P: Polytope) -> list[tuple[int, ...]]:
-    """Simplices of the fan triangulation as (dim+1)-tuples of vertex indices."""
-    levels = face_lattice(P)
-
-    @cache
-    def tri(face: frozenset[int], k: int) -> list[tuple[int, ...]]:
-        if k == 1:
-            return [tuple(sorted(face))]
-        apex = min(face)  # vertices are sorted, so this is the lex-smallest
-        return [
-            (apex,) + s
-            for child in levels[k - 1]
-            if child <= face and apex not in child
-            for s in tri(child, k - 1)
-        ]
-
-    simplices = tri(frozenset(range(len(P.vertices))), P.dim)
-    tri.cache_clear()  # tri refers to itself, a cycle that would keep the memo alive
-    return simplices
+def _pulling_triangulation(
+    P: Polytope, face: int, k: int, memo: dict[int, list[tuple[int, ...]]]
+) -> list[tuple[int, ...]]:
+    """Simplices of the pulling triangulation of the k-dimensional ``face``
+    of P, a vertex bitmask, as (k+1)-tuples of vertex indices, memoized by
+    mask.  A face with k+1 vertices is a simplex; any other is the fan from
+    its lowest (lex-smallest) vertex over its facets that miss it."""
+    if face not in memo:
+        if face.bit_count() == k + 1:
+            memo[face] = [tuple(bits(face))]
+        else:
+            low = face & -face
+            apex = low.bit_length() - 1
+            memo[face] = [
+                (apex,) + s
+                for child in _facets_of(P, face)
+                if not child & low
+                for s in _pulling_triangulation(P, child, k - 1, memo)
+            ]
+    return memo[face]
 
 
 def shadow_area(P: Polytope) -> Fraction:

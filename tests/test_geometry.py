@@ -10,6 +10,7 @@ from sympolar.geometry import (
     apply_linear,
     convex_hull,
     f_vector,
+    from_halfspaces,
     gauge_norm,
     polar_dual,
     shadow_area,
@@ -244,6 +245,65 @@ def test_f_vector_cross_dim4():
         [tuple(F(int(i == j)) * s for i in range(4)) for j in range(4) for s in (1, -1)]
     )
     assert f_vector(cross) == (8, 24, 32, 16)
+
+
+def _unit_vectors(dim):
+    return [tuple(F(int(i == j)) for j in range(dim)) for i in range(dim)]
+
+
+# closed forms: a segment's length; the f-vectors of the 5-cube, the
+# 5-cross-polytope (its dual) and Δ4 × [0, 2] (faces of Δ4 times faces of
+# the segment), with volumes 1, 2^5/5! and 2/4!
+CLOSED_FORM_BODIES = {
+    "segment": ([(F(1, 3),), (F(5, 7),), (F(1, 2),)], (2,), F(8, 21)),
+    "cube": (
+        [tuple(F((m >> i) & 1) for i in range(5)) for m in range(32)],
+        (32, 80, 80, 40, 10),
+        F(1),
+    ),
+    "cross": (
+        _unit_vectors(5) + [vneg(e) for e in _unit_vectors(5)],
+        (10, 40, 80, 80, 32),
+        F(4, 15),
+    ),
+    "simplex_prism": (
+        [v + (F(h),) for v in [(F(0),) * 4] + _unit_vectors(4) for h in (0, 2)],
+        (10, 25, 30, 20, 7),
+        F(1, 12),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_BODIES))
+def test_f_vector_and_volume_closed_forms(name):
+    points, f, vol = CLOSED_FORM_BODIES[name]
+    poly = convex_hull(points)
+    assert f_vector(poly) == f
+    assert volume(poly) == vol
+
+
+# --- halfspace input ------------------------------------------------------
+
+
+def test_from_halfspaces_prunes_halfspace_tight_on_one_vertex(square):
+    # x + y <= 2 touches the square only at (1, 1)
+    halfspaces = [(f.normal, f.offset) for f in square.facets] + [((F(1), F(1)), F(2))]
+    poly = from_halfspaces(halfspaces, 2)
+    assert poly == square
+    assert poly.facets == square.facets
+
+
+def test_from_halfspaces_rejects_lower_dimensional_region():
+    # x <= 0 and -x <= 0 leave the segment x = 0, |y| <= 1
+    halfspaces = [
+        ((F(1), F(0)), F(0)),
+        ((F(-1), F(0)), F(0)),
+        ((F(0), F(1)), F(1)),
+        ((F(0), F(-1)), F(1)),
+    ]
+    with pytest.raises(DimensionDeficiencyError) as err:
+        from_halfspaces(halfspaces, 2)
+    assert err.value.affine_dim == 1
 
 
 # --- randomized properties ------------------------------------------------
