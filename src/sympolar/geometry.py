@@ -22,6 +22,14 @@ facet rows are the cone's extreme rays and its incidence their tight sets.
 Growing it by a few points (``_grow_hull``) therefore starts from that pair
 and inserts only the new points' constraints; the cold start in
 ``vertex_enumeration`` and this warm start share one insertion loop.
+
+Every body of the paper is centrally symmetric, and the kernel uses that
+twice.  The cold start of a symmetric point set inserts each point's
+constraint right after its antipode's, which keeps the intermediate cones
+of the degenerate suspensions small.  And the mirror facet (-a, -b) of a
+facet row (a, -b) satisfies (-a, -b) . (V, d) = (a, -b) . (-V, d), so the
+consistency check tests each such pair of facets once and maps the tight
+set through the antipode permutation.
 """
 
 from __future__ import annotations
@@ -98,7 +106,8 @@ class HalfSpace:
 
 
 def _antipode(row: Row) -> Row:
-    """The homogeneous row of -v, for the row of v."""
+    """The homogeneous row of -v, for the row of v; likewise, for a facet
+    row (a, -b), the row (-a, -b) of the mirrored facet <-a, x> <= b."""
     return tuple(-c for c in row[:-1]) + row[-1:]
 
 
@@ -266,33 +275,50 @@ def vertex_enumeration(
 # Canonical construction.
 
 
+def _tight(f: Row, rows: Sequence[Row]) -> int:
+    """The bitmask of the point rows on the facet row ``f``; raises
+    GeometryError when a point lies outside it."""
+    mask = 0
+    for i, r in enumerate(rows):
+        s = int_dot(f, r)
+        if s > 0:
+            raise GeometryError(f"vertex {dehomogenize(r)} violates facet row {f}")
+        if s == 0:
+            mask |= 1 << i
+    return mask
+
+
 def _incidence(rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...]:
     """Per facet row, the bitmask of the point rows on it; raises
     GeometryError when a point lies outside a facet."""
-    masks = []
-    for f in facet_rows:
-        mask = 0
-        for i, r in enumerate(rows):
-            s = int_dot(f, r)
-            if s > 0:
-                raise GeometryError(f"vertex {dehomogenize(r)} violates facet row {f}")
-            if s == 0:
-                mask |= 1 << i
-        masks.append(mask)
-    return tuple(masks)
+    return tuple(_tight(f, rows) for f in facet_rows)
 
 
 def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...]:
     """Check that every point lies inside every facet and that every facet
     is spanned by a (dim-1)-dimensional set of points on it; returns the
-    incidence."""
-    incidence = _incidence(rows, facet_rows)
-    for f, mask in zip(facet_rows, incidence):
+    incidence.
+
+    When every point's antipode is a point too, the mirror (-a, -b) of a
+    facet row (a, -b) is checked with it: (-a, -b) . r = (a, -b) . r' for
+    the antipode r' of r, so its tight set is the antipodes of the other's,
+    whose rows differ by diag(-1, ..., -1, 1) and so have equal rank."""
+    index = {r: i for i, r in enumerate(rows)}
+    anti = [index.get(_antipode(r)) for r in rows]
+    mirror = {f: j for j, f in enumerate(facet_rows)} if None not in anti else {}
+    incidence: list[int | None] = [None] * len(facet_rows)
+    for j, f in enumerate(facet_rows):
+        if incidence[j] is not None:
+            continue
+        mask = incidence[j] = _tight(f, rows)
         if len(independent_rows([rows[i] for i in bits(mask)], dim)) < dim:
             raise GeometryError(
                 f"facet row {f} is not supported by a (dim-1)-dimensional vertex set"
             )
-    return incidence
+        k = mirror.get(_antipode(f))
+        if k is not None:
+            incidence[k] = sum(1 << anti[i] for i in bits(mask))
+    return tuple(incidence)
 
 
 def _polytope(dim: int, points: Sequence[Vec], rows, facet_rows, incidence, keep) -> Polytope:
@@ -339,14 +365,18 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     if len(basis) <= dim:
         raise DimensionDeficiencyError(dim, len(basis) - 1)
     row_set = set(rows)
+    order = rows
     if all(_antipode(r) in row_set for r in rows):
         center, m = [0] * dim, 1
+        # each point's constraint right after its antipode's keeps the
+        # intermediate cones of the double description small
+        order = list(dict.fromkeys(x for r in rows for x in (r, _antipode(r))))
     else:
         scale = lcm(*(rows[i][-1] for i in basis))
         center = [sum(rows[i][k] * (scale // rows[i][-1]) for i in basis) for k in range(dim)]
         m = scale * len(basis)  # c = center / m
     shifted = []
-    for r in rows:
+    for r in order:
         q = primitive([m * x - c * r[-1] for x, c in zip(r, center)] + [-m * r[-1]])
         if any(q[:-1]):  # a point at c is interior; its constraint is vacuous
             shifted.append(q)
@@ -496,11 +526,12 @@ def volume(P: Polytope) -> Fraction:
     triangulated facets, one determinant per simplex.  The determinant of a
     simplex's homogeneous vertex rows (V_i, d_i) is d_0 ... d_dim times that
     of its edge vectors."""
-    total = ZERO
+    sums: dict[int, int] = {}  # denominator product -> sum of |det|
     for simplex in _pulling_triangulation(P, (1 << len(P.rows)) - 1, P.dim, {}):
         corners = [P.rows[i] for i in simplex]
-        total += Fraction(abs(int_det(corners)), prod(r[-1] for r in corners))
-    return total / factorial(P.dim)
+        d = prod(r[-1] for r in corners)
+        sums[d] = sums.get(d, 0) + abs(int_det(corners))
+    return sum((Fraction(n, d) for d, n in sums.items()), ZERO) / factorial(P.dim)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

@@ -13,16 +13,17 @@ from math import factorial
 
 import pytest
 
-from sympolar.experiments import random_selfpolar
+from sympolar.experiments import enumerate_pm1, random_selfpolar
 from sympolar.geometry import (
     GeometryError,
     _check_consistency,
+    _incidence,
     convex_hull,
     f_vector,
     polar_dual,
     volume,
 )
-from sympolar.linalg import dehomogenize, int_adjugate, int_det, invert
+from sympolar.linalg import bits, dehomogenize, homogeneous, int_adjugate, int_det, invert, vneg
 from sympolar.symplectic import check_subset_sympolar, symplectic_polar
 
 from conftest import random_point, random_symmetric_polytope
@@ -220,6 +221,48 @@ def test_consistency_rejects_unspanned_facet(square):
     assert _check_consistency(2, square.rows, square.facet_rows)
     with pytest.raises(GeometryError, match="not supported"):
         _check_consistency(2, square.rows, square.facet_rows + (corner,))
+
+
+def symmetric_point_sets(p3, generated):
+    """Symmetric inputs: P_3's vertices, a table1 body's, and the generated
+    body's vertices with the origin and a symmetric pair of interior points."""
+    table1 = enumerate_pm1(4, budget=25).classes[0].representative
+    inner = tuple(c / 2 for c in generated.vertices[0])
+    return [
+        list(p3.vertices),
+        list(table1.vertices),
+        list(generated.vertices) + [inner, vneg(inner), (0,) * generated.dim],
+    ]
+
+
+def test_hull_independent_of_point_order(p3, generated):
+    rng = random.Random(17)
+    for points in symmetric_point_sets(p3, generated):
+        P = convex_hull(points)
+        shuffled = points[:]
+        rng.shuffle(shuffled)
+        Q = convex_hull(shuffled)
+        assert Q == P
+        assert Q.facets == P.facets
+        assert Q.facet_vertex_sets() == P.facet_vertex_sets()
+
+
+def test_consistency_mirror_matches_full_incidence(p3, generated):
+    for points in symmetric_point_sets(p3, generated):
+        P = convex_hull(points)
+        rows = [homogeneous(p) for p in points]
+        assert _check_consistency(P.dim, rows, P.facet_rows) == _incidence(rows, P.facet_rows)
+    # mirror facet pairs over point sets that are not symmetric: a boundary
+    # point without its antipode, so no tight set may be mapped through the
+    # antipodes
+    square = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    i, j = list(bits(p3.incidence[0]))[:2]
+    midpoint = tuple((a + b) / 2 for a, b in zip(p3.vertices[i], p3.vertices[j]))
+    for points in (square + [(1, 0)], list(p3.vertices) + [midpoint]):
+        P = convex_hull(points)
+        assert any(tuple(-c for c in f[:-1]) + f[-1:] in P.facet_rows for f in P.facet_rows)
+        rows = [homogeneous(p) for p in points]
+        assert _check_consistency(P.dim, rows, P.facet_rows) == _incidence(rows, P.facet_rows)
 
 
 # --- the adjugate -------------------------------------------------------------

@@ -15,6 +15,7 @@ from sympolar.geometry import (
     gauge_norm,
     volume,
 )
+from sympolar.io import read_polytope, write_polytope
 from sympolar.suspension import (
     PIVOT,
     hexagon,
@@ -123,6 +124,18 @@ def test_power_suspend_values(p2, p3):
     assert len(p3.vertices) == vertex_count_formula(3) == 36
     assert volume(p2) == volume_closed_form(2) == F(7, 2)
     assert volume(p3) == volume_closed_form(3) == F(77, 30)
+
+
+def test_p5_self_polar_and_round_trip(tmp_path):
+    p5 = power_suspend(5)
+    assert len(p5.vertices) == vertex_count_formula(5) == 156
+    assert is_self_polar(p5)
+    path = tmp_path / "p5.json"
+    write_polytope(path, p5)
+    back = read_polytope(path)
+    assert back.vertices == p5.vertices
+    assert back.facets == p5.facets
+    assert back.facet_vertex_sets() == p5.facet_vertex_sets()
 
 
 def test_power_suspend_writes_nothing(tmp_path):
