@@ -24,12 +24,14 @@ and inserts only the new points' constraints; the cold start in
 ``vertex_enumeration`` and this warm start share one insertion loop.
 
 Every body of the paper is centrally symmetric, and the kernel uses that
-twice.  The cold start of a symmetric point set inserts each point's
+three times.  The cold start of a symmetric point set inserts each point's
 constraint right after its antipode's, which keeps the intermediate cones
-of the degenerate suspensions small.  And the mirror facet (-a, -b) of a
-facet row (a, -b) satisfies (-a, -b) . (V, d) = (a, -b) . (-V, d), so the
+of the degenerate suspensions small.  The mirror facet (-a, -b) of a facet
+row (a, -b) satisfies (-a, -b) . (V, d) = (a, -b) . (-V, d), so the
 consistency check tests each such pair of facets once and maps the tight
-set through the antipode permutation.
+set through the antipode permutation.  And the volume of a symmetric body
+is twice that of the cones from the origin over one facet of each mirror
+pair.
 """
 
 from __future__ import annotations
@@ -323,8 +325,10 @@ def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row])
 
 def _polytope(dim: int, points: Sequence[Vec], rows, facet_rows, incidence, keep) -> Polytope:
     """Polytope on the points indexed by ``keep``, sorted; the incidence is
-    renumbered to the sorted vertex list."""
-    keep = sorted(keep, key=points.__getitem__)
+    renumbered to the sorted vertex list.  The points sort as their rows'
+    V scaled to the common denominator of the kept rows."""
+    common = lcm(*(rows[i][-1] for i in keep))
+    keep = sorted(keep, key=lambda i: [c * (common // rows[i][-1]) for c in rows[i][:-1]])
     position = {i: j for j, i in enumerate(keep)}
     renumbered = []
     for mask in incidence:
@@ -354,13 +358,16 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     c is the origin for a symmetric point set and otherwise the centroid of
     dim+1 affinely independent points, whose denominator stays small.
     """
-    pts = list(dict.fromkeys(as_vec(p) for p in points))
-    if not pts:
+    by_row: dict[Row, Vec] = {}
+    for p in points:
+        v = as_vec(p)
+        by_row.setdefault(homogeneous(v), v)
+    if not by_row:
         raise GeometryError("no points given")
+    rows, pts = list(by_row), list(by_row.values())
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise GeometryError("points have mixed dimensions")
-    rows = [homogeneous(p) for p in pts]
     basis = independent_rows(rows, dim + 1)
     if len(basis) <= dim:
         raise DimensionDeficiencyError(dim, len(basis) - 1)
@@ -525,13 +532,32 @@ def volume(P: Polytope) -> Fraction:
     lexicographically smallest vertex of every face over its recursively
     triangulated facets, one determinant per simplex.  The determinant of a
     simplex's homogeneous vertex rows (V_i, d_i) is d_0 ... d_dim times that
-    of its edge vectors."""
+    of its edge vectors.
+
+    A symmetric P is the union of the cones from the origin over its facets,
+    and mirror facets (a, -b), (-a, -b) bound congruent cones, so its volume
+    is twice the cones' over one facet of each mirror pair, triangulated
+    through one memo.  The cone over a simplex with rows (V_i, d_i) has
+    volume |det(V_1, ..., V_dim)| / (d_1 ... d_dim dim!)."""
+    memo: dict[int, list[tuple[int, ...]]] = {}
+    if P.symmetric:
+        # the mirror of every facet row is a facet row, and differs from it
+        simplices = [
+            s
+            for f, mask in zip(P.facet_rows, P.incidence)
+            if f > _antipode(f)
+            for s in _pulling_triangulation(P, mask, P.dim - 1, memo)
+        ]
+        end, scale = -1, 2  # drop d_i: the cone's apex is the origin
+    else:
+        simplices = _pulling_triangulation(P, (1 << len(P.rows)) - 1, P.dim, memo)
+        end, scale = None, 1
     sums: dict[int, int] = {}  # denominator product -> sum of |det|
-    for simplex in _pulling_triangulation(P, (1 << len(P.rows)) - 1, P.dim, {}):
+    for simplex in simplices:
         corners = [P.rows[i] for i in simplex]
         d = prod(r[-1] for r in corners)
-        sums[d] = sums.get(d, 0) + abs(int_det(corners))
-    return sum((Fraction(n, d) for d, n in sums.items()), ZERO) / factorial(P.dim)
+        sums[d] = sums.get(d, 0) + abs(int_det([r[:end] for r in corners]))
+    return scale * sum((Fraction(n, d) for d, n in sums.items()), ZERO) / factorial(P.dim)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

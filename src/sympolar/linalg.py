@@ -32,7 +32,7 @@ class SingularMatrixError(ValueError):
 
 
 def as_vec(coords: Iterable) -> Vec:
-    return tuple(Fraction(c) for c in coords)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

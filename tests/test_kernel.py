@@ -18,6 +18,7 @@ from sympolar.geometry import (
     GeometryError,
     _check_consistency,
     _incidence,
+    apply_linear,
     convex_hull,
     f_vector,
     polar_dual,
@@ -203,6 +204,31 @@ def test_kernel_matches_reference_on_generated_body(generated):
 def test_polar_incidence_is_transposed(generated):
     for Q in (polar_dual(generated), symplectic_polar(generated)):
         assert Q.facet_vertex_sets() == ref_facet_vertex_sets(Q)
+
+
+# --- the volume's two branches and the vertex order ---------------------------
+
+
+def test_volume_branches_match_reference(p2):
+    """A symmetric body's volume is twice the cones over one facet of each
+    mirror pair; any other body's is the fan from its lowest vertex."""
+    table1 = [c.representative for c in enumerate_pm1(4).classes]
+    asymmetric = BODIES[6:9]
+    assert all(P.symmetric for P in table1 + [p2])
+    assert all(not P.symmetric and P.origin_interior() for P in asymmetric)
+    for P in table1 + [p2] + asymmetric:
+        assert volume(P) == ref_volume(P)
+    assert [volume(P) for P in table1] == [F(7, 2), F(11, 3), F(23, 6), F(4)]
+
+
+def test_vertices_sorted_with_mixed_denominators(generated):
+    skew = [[1, F(1, 3), 0, 0], [0, 1, 0, 0], [F(-1, 2), 0, 2, 0], [0, 0, F(1, 5), -1]]
+    shrunk = BODIES[9:15]
+    bodies = shrunk + [generated, polar_dual(generated), apply_linear(skew, generated)]
+    assert sum(len({r[-1] for r in P.rows}) > 1 for P in bodies) >= 5
+    for P in bodies:
+        assert any(c < 0 for v in P.vertices for c in v)
+        assert P.vertices == tuple(sorted(P.vertices))
 
 
 # --- the consistency check --------------------------------------------------
