@@ -21,17 +21,20 @@ interior already holds the double-description pair of its polar cone: its
 facet rows are the cone's extreme rays and its incidence their tight sets.
 Growing it by a few points (``_grow_hull``) therefore starts from that pair
 and inserts only the new points' constraints; the cold start in
-``vertex_enumeration`` and this warm start share one insertion loop.
+``vertex_enumeration`` and this warm start share one crossing step
+(``_crossings``), with its adjacency test.
 
 Every body of the paper is centrally symmetric, and the kernel uses that
-three times.  The cold start of a symmetric point set inserts each point's
+four times.  The cold start of a symmetric point set inserts each point's
 constraint right after its antipode's, which keeps the intermediate cones
-of the degenerate suspensions small.  The mirror facet (-a, -b) of a facet
-row (a, -b) satisfies (-a, -b) . (V, d) = (a, -b) . (-V, d), so the
-consistency check tests each such pair of facets once and maps the tight
-set through the antipode permutation.  And the volume of a symmetric body
-is twice that of the cones from the origin over one facet of each mirror
-pair.
+of the degenerate suspensions small.  The warm start keeps the symmetric
+polar cone's rays in mirror pairs and cuts it by each new antipodal pair
+of points at once, as one slab whose second half is the mirror of the
+first.  The mirror facet (-a, -b) of a facet row (a, -b) satisfies
+(-a, -b) . (V, d) = (a, -b) . (-V, d), so the consistency check tests each
+such pair of facets once and maps the tight set through the antipode
+permutation.  And the volume of a symmetric body is twice that of the
+cones from the origin over one facet of each mirror pair.
 """
 
 from __future__ import annotations
@@ -187,6 +190,31 @@ def _halfspace_rows(halfspaces: Sequence[tuple[Vec, Fraction]]) -> list[Row]:
     )
 
 
+def _crossings(
+    rays: list[Row], masks: list[int], vals: list[int], plus: list[int], minus: list[int],
+    bit: int, dim: int,
+) -> tuple[list[Row], list[int]]:
+    """The new extreme rays on the hyperplane of one constraint, which takes
+    the values ``vals`` on ``rays``: one primitive combination per adjacent
+    pair of a ray in ``plus`` and one in ``minus``, with the pair's common
+    tight mask and the constraint's ``bit``."""
+    fresh: list[Row] = []
+    fresh_masks: list[int] = []
+    for p in plus:
+        zp = masks[p]
+        for m in minus:
+            zpn = zp & masks[m]
+            if zpn.bit_count() < dim - 1:
+                continue
+            # adjacent unless a third ray is tight on all of their constraints
+            if any((zk & zpn) == zpn for k, zk in enumerate(masks) if k != p and k != m):
+                continue
+            combo = primitive([vals[p] * rm - vals[m] * rp for rp, rm in zip(rays[p], rays[m])])
+            fresh.append(combo)
+            fresh_masks.append(zpn | bit)
+    return fresh, fresh_masks
+
+
 def _cut(
     rays: list[Row], masks: list[int], constraints: Sequence[Row], first_bit: int, dim: int
 ) -> tuple[list[Row], list[int]]:
@@ -204,22 +232,7 @@ def _cut(
         plus = [i for i, v in enumerate(vals) if v > 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
-        fresh: list[Row] = []
-        fresh_masks: list[int] = []
-        for p in plus:
-            zp = masks[p]
-            for m in minus:
-                zpn = zp & masks[m]
-                if zpn.bit_count() < dim - 1:
-                    continue
-                # adjacent unless a third ray is tight on all of their constraints
-                if any((zk & zpn) == zpn for k, zk in enumerate(masks) if k != p and k != m):
-                    continue
-                combo = primitive(
-                    [vals[p] * rm - vals[m] * rp for rp, rm in zip(rays[p], rays[m])]
-                )
-                fresh.append(combo)
-                fresh_masks.append(zpn | bit)
+        fresh, fresh_masks = _crossings(rays, masks, vals, plus, minus, bit, dim)
         keep = plus + zero
         rays = [rays[i] for i in keep] + fresh
         masks = [
@@ -228,6 +241,43 @@ def _cut(
         if not rays:
             raise GeometryError("halfspace system has empty interior")
     return rays, masks
+
+
+def _swap_pairs(mask: int, even: int) -> int:
+    """``mask`` with bits 2j and 2j+1 swapped, for each bit 2j set in ``even``."""
+    return (mask & even) << 1 | (mask >> 1) & even
+
+
+def _slab(
+    rays: list[Row], masks: list[int], row: Row, pair: int, even: int, dim: int
+) -> tuple[list[Row], list[int]]:
+    """``_cut`` by the constraint row r = (-V, d) of a point q = V/d and the
+    row (V, d) of -q together, on a cone symmetric under the mirror
+    s(u, t) = (-u, t): rays 2k and 2k+1 are mirrors, constraint pairs take
+    bits 2j and 2j+1, and ``even`` has bit 2j set for every pair j, so a
+    ray's mirror has its mask with adjacent bits swapped.  The new pair
+    takes bits 2 * ``pair`` and 2 * ``pair`` + 1.
+
+    (V, d) . x = r . s(x), so -q's values are q's on the mirror rays.  Every
+    ray has t > 0, hence (V, d) . x = 2dt - r . x > 0 on q's boundary: no
+    ray lies on both boundaries, the new rays on -q's boundary are the
+    mirrors of those on q's, and only q's crossings are computed."""
+    bit = 1 << 2 * pair
+    vals = [int_dot(row, ray) for ray in rays]
+    plus = [i for i, v in enumerate(vals) if v > 0]
+    minus = [i for i, v in enumerate(vals) if v < 0]
+    fresh, fresh_masks = _crossings(rays, masks, vals, plus, minus, bit, dim)
+    out_rays: list[Row] = []
+    out_masks: list[int] = []
+    for i, v in enumerate(vals):
+        w = vals[i ^ 1]
+        if v >= 0 and w >= 0:
+            out_rays.append(rays[i])
+            out_masks.append(masks[i] | (bit if v == 0 else 0) | (bit << 1 if w == 0 else 0))
+    for ray, mask in zip(fresh, fresh_masks):
+        out_rays += [ray, _antipode(ray)]
+        out_masks += [mask, _swap_pairs(mask, even)]
+    return out_rays, out_masks
 
 
 def vertex_enumeration(
@@ -409,30 +459,52 @@ def _hull_polytope(dim: int, points: Sequence[Vec], rows, facet_rows) -> Polytop
 
 
 def _grow_hull(P: Polytope, points: Iterable[Sequence]) -> Polytope:
-    """``convex_hull(list(P.vertices) + points)`` for P with the origin
-    interior, warm-started from P's double-description pair.
+    """``convex_hull(list(P.vertices) + points)`` for a centrally symmetric
+    P, warm-started from P's double-description pair.
 
     The facets of the hull are the vertices of its polar, which is P's polar
     cut by <q, u> <= 1 for each new point q.  So the double description
     starts from P's polar cone, whose extreme rays are P's facet rows
-    (a, -b) read as (a, b) and whose tight sets are ``P.incidence``, with
-    bit i for the constraint of ``P.rows[i]``; only the new points'
-    constraints are inserted, in the given order.
+    (a, -b) read as (a, b) and whose tight sets are ``P.incidence``; only
+    the new points' constraints are inserted.  That cone is symmetric, so
+    its rays are stored in mirror pairs and P's vertex pairs renumbered to
+    bits 2j, 2j+1; each new point whose antipode is new too is inserted
+    with it as one slab |<q, u>| <= t (``_slab``), in the given order.  The
+    other new points, the origin or a point whose antipode is not among
+    the points, follow through ``_cut``.
     """
-    if not P.origin_interior():
-        raise PolarityDomainError("origin is not interior to the polytope")
+    if not P.symmetric:
+        raise GeometryError("the warm start needs a centrally symmetric body")
     pts, rows = list(P.vertices), list(P.rows)
-    known = set(rows)
+    index = {r: i for i, r in enumerate(rows)}
     for p in points:
         v = as_vec(p)
         row = homogeneous(v)
-        if row not in known:
-            known.add(row)
+        if row not in index:
+            index[row] = len(rows)
             pts.append(v)
             rows.append(row)
-    rays = [f[:-1] + (-f[-1],) for f in P.facet_rows]
-    constraints = [_antipode(r) for r in rows[len(P.rows) :]]  # (-V, d): <q, u> <= t, q = V/d
-    rays, _ = _cut(rays, list(P.incidence), constraints, len(P.rows), P.dim)
+    position: dict[int, int] = {}  # point index -> its constraint's bit
+    pairs, singles = [], []
+    for i, r in enumerate(rows):
+        j = index.get(_antipode(r))
+        if j is None or j == i:
+            singles.append(r)
+        elif i < j:
+            position[i], position[j] = 2 * len(pairs), 2 * len(pairs) + 1
+            pairs.append(r)
+    even = ((1 << 2 * len(pairs)) - 1) // 3
+    rays: list[Row] = []
+    masks: list[int] = []
+    for f, tight in zip(P.facet_rows, P.incidence):
+        if f > _antipode(f):  # one facet row of each mirror pair
+            mask = sum(1 << position[i] for i in bits(tight))
+            rays += [f[:-1] + (-f[-1],), tuple(-c for c in f)]
+            masks += [mask, _swap_pairs(mask, even)]
+    for pair in range(len(P.rows) // 2, len(pairs)):
+        # (-V, d): <q, u> <= t, q = V/d
+        rays, masks = _slab(rays, masks, _antipode(pairs[pair]), pair, even, P.dim)
+    rays, _ = _cut(rays, masks, [_antipode(r) for r in singles], 2 * len(pairs), P.dim)
     facet_rows = [r[:-1] + (-r[-1],) for r in rays]
     return _hull_polytope(P.dim, pts, rows, facet_rows)
 

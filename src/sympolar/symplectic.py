@@ -112,8 +112,19 @@ def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
     Containment is equivalent to omega(v, w) <= 1 for every ordered pair of
     vertices; on failure the lexicographically first violating pair and its
     form value are returned as a witness.
+
+    Negation reverses the lexicographic order, so vertex N-1-i of a
+    symmetric P is the antipode of vertex i.  As omega(x, -y) = -omega(x, y)
+    and omega(x, -x) = 0, |omega(x, y)| <= 1 on the pairs of the first half
+    then decides containment; only a failing body is scanned in full, for
+    its witness.
     """
     verts, rows = P.vertices, P.rows
+    if P.symmetric:
+        half = rows[: len(rows) // 2]
+        pairs = ((x, y) for i, x in enumerate(half) for y in half[i + 1 :])
+        if all(abs(omega_rows(x, y)) <= x[-1] * y[-1] for x, y in pairs):
+            return True, None
     for i, x in enumerate(rows):
         for j in range(i + 1, len(rows)):
             y = rows[j]

@@ -321,6 +321,58 @@ def test_grow_hull_with_interior_boundary_and_repeated_points(p2):
         assert _grow_hull(K, []) == K
 
 
+def _symmetric_points(rng, K):
+    """Points inside, on and outside K, each with its antipode."""
+    vertices = K.vertices
+    facet = [vertices[i] for i in K.facet_vertex_sets()[rng.randrange(len(K.incidence))]]
+    v, w = rng.sample(facet, 2)
+    u = rng.choice(vertices)
+    points = [
+        tuple(c / 2 for c in u),  # inside
+        tuple((a + b) / 2 for a, b in zip(v, w)),  # on a facet
+        tuple(sum(c) / len(facet) for c in zip(*facet)),  # on a facet
+        tuple(3 * c / 2 for c in u),  # outside
+        random_point(rng, K.dim),
+        random_point(rng, K.dim),
+    ]
+    return points + [vneg(p) for p in points]
+
+
+def test_grow_hull_slabs_match_cold_hull(p2):
+    # each new antipodal pair is one slab cut; growing twice checks that the
+    # grown cone keeps its rays and tight sets in mirror pairs
+    rng = random.Random(12)
+    # dim + 1 antipodal pairs: the default five cannot span R^6
+    bodies = [random_symmetric_polytope(rng, dim, points=dim + 1) for dim in (2, 2, 4, 6)]
+    bodies.append(p2)
+    for K in bodies:
+        for _ in range(2):
+            S = _symmetric_points(rng, K)
+            grown = _grow_hull(K, S)
+            assert _same_hull(grown, convex_hull(list(K.vertices) + S))
+            assert grown.symmetric
+            K = grown
+
+
+def test_grow_hull_mixes_slabs_with_single_points(p2):
+    # a vertex of K (its antipode too), the origin and a point with no
+    # antipode among the points ride along with new antipodal pairs
+    rng = random.Random(13)
+    for K in (p2, random_symmetric_polytope(rng, 4), random_symmetric_polytope(rng, 2)):
+        S = _symmetric_points(rng, K)
+        lone = tuple(5 * c / 4 for c in K.vertices[1])
+        for extra in ([K.vertices[0]], [lone], [lone, (F(0),) * K.dim, K.vertices[-1]]):
+            mixed = S[:3] + extra + S[3:]
+            assert _same_hull(_grow_hull(K, mixed), convex_hull(list(K.vertices) + mixed))
+
+
+def test_grow_hull_needs_a_symmetric_body():
+    triangle = convex_hull([(1, 0), (-1, 1), (-1, -2)])
+    assert triangle.origin_interior() and not triangle.symmetric
+    with pytest.raises(GeometryError):
+        _grow_hull(triangle, [(F(2), F(0)), (F(-2), F(0))])
+
+
 def _rejected_dim6_clique():
     reps = sign_vector_pairs(6)
     *_, clique = maximal_cliques(compatibility_adjacency(reps), budget=27)
