@@ -471,7 +471,10 @@ def _grow_hull(P: Polytope, points: Iterable[Sequence]) -> Polytope:
     bits 2j, 2j+1; each new point whose antipode is new too is inserted
     with it as one slab |<q, u>| <= t (``_slab``), in the given order.  The
     other new points, the origin or a point whose antipode is not among
-    the points, follow through ``_cut``.
+    the points, follow through ``_cut``.  Only arbitrary point lists (the
+    tests) give such points: ``expand_step`` passes a centrally symmetric
+    set of vertices of P's symplectic polar, which holds neither the origin
+    nor a point whose antipode is a vertex of P.
     """
     if not P.symmetric:
         raise GeometryError("the warm start needs a centrally symmetric body")

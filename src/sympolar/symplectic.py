@@ -115,18 +115,14 @@ def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
 
     Negation reverses the lexicographic order, so vertex N-1-i of a
     symmetric P is the antipode of vertex i.  As omega(x, -y) = -omega(x, y)
-    and omega(x, -x) = 0, |omega(x, y)| <= 1 on the pairs of the first half
-    then decides containment; only a failing body is scanned in full, for
-    its witness.
+    and omega(x, -x) = 0, every violating pair (a, b) has one among the
+    pairs of the first half at or before it in scan order, with the same
+    |omega|; so the scan of that half alone finds the same first pair.
     """
     verts, rows = P.vertices, P.rows
-    if P.symmetric:
-        half = rows[: len(rows) // 2]
-        pairs = ((x, y) for i, x in enumerate(half) for y in half[i + 1 :])
-        if all(abs(omega_rows(x, y)) <= x[-1] * y[-1] for x, y in pairs):
-            return True, None
-    for i, x in enumerate(rows):
-        for j in range(i + 1, len(rows)):
+    n = len(rows) // 2 if P.symmetric else len(rows)
+    for i, x in enumerate(rows[:n]):
+        for j in range(i + 1, n):
             y = rows[j]
             value, bound = omega_rows(x, y), x[-1] * y[-1]
             if value > bound:
