@@ -31,7 +31,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from sympolar.geometry import Polytope
-from sympolar.linalg import Vec, dot, fraction_vec_to_int, int_adjugate, vneg
+from sympolar.linalg import Vec, dot, fraction_vec_to_int, homogeneous, int_adjugate, vneg
 from sympolar.suspension import PIVOT, induction_certificate
 from sympolar.symplectic import is_self_polar, omega
 
@@ -108,7 +108,10 @@ def _pair_rep(v: Vec) -> Vec:
 
 
 def generator_base(P: Polytope, kind: str) -> tuple[Vec, ...]:
-    """One canonical representative per antipodal generator pair."""
+    """One canonical representative per antipodal generator pair, the
+    greater of the two, in increasing order.  Negation reverses the sorted
+    vertices, and the facets sorted by normal (offsets all 1), so these are
+    the second half."""
     if not P.symmetric:
         raise CapacityError("capacity generators need a centrally symmetric body")
     if kind == VERTICES:
@@ -117,7 +120,7 @@ def generator_base(P: Polytope, kind: str) -> tuple[Vec, ...]:
         items = tuple(f.normal for f in P.facets)
     else:
         raise CapacityError(f"unknown generator kind {kind!r}")
-    return tuple(sorted({_pair_rep(v) for v in items}))
+    return items[len(items) // 2 :]
 
 
 def support_value(P: Polytope, direction: Vec) -> Fraction:
@@ -150,9 +153,9 @@ def evaluate_certificate(P: Polytope, cert: CapacityCertificate) -> Fraction:
             raise CertificateError(
                 "vertex-generator certificates need a symplectically self-polar body"
             )
-        vertex_set = set(P.vertices)
+        vertex_set = set(P.rows)
         for g in vectors:
-            if g not in vertex_set:
+            if homogeneous(g) not in vertex_set:
                 raise CertificateError(f"{g} is not a vertex of the polytope")
         normalization = sum(cert.coeffs, ZERO)
     else:

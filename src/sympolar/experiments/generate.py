@@ -140,7 +140,7 @@ def random_selfpolar(
                 polar_vertex_count=len(polar_rows),
                 pair_count=len(pairs),
                 selected_pairs=len(chosen),
-                vertex_count_after=len(K.vertices),
+                vertex_count_after=len(K.rows),
             )
         )
         if self_polar:
@@ -154,7 +154,7 @@ def random_selfpolar(
         iterations=iterations,
         final=K,
         volume=volume(K),
-        vertex_count=len(K.vertices),
+        vertex_count=len(K.rows),
         self_polar=self_polar,
         trace=tuple(trace),
     )

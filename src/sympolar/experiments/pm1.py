@@ -126,7 +126,7 @@ def enumerate_pm1(dim: int, budget: int | None = None) -> Pm1Result:
         if not is_self_polar(poly):
             rejected += 1
             continue
-        key = (len(poly.vertices), volume(poly))
+        key = (len(poly.rows), volume(poly))
         entry = classes.get(key)
         if entry is None:
             classes[key] = [1, poly]

@@ -5,13 +5,15 @@ representations, convex hulls, polar duals, exact volumes, gauges, shadows,
 and linear images.  There is no floating-point fallback anywhere.
 
 The API speaks ``Fraction``; inside, each polytope keeps one integer form
-(see ``linalg``): every vertex is a primitive homogeneous row (V, d) with
-v = V/d and d > 0, every facet <a, x> <= b a primitive row (a, -b), and the
-facet-vertex incidence a bitmask per facet.  A vertex is on a facet when
-the integer dot product of their rows is 0 and inside it when it is <= 0.
-The incidence is computed once per hull, by the exact consistency check,
-and reused by the polar and by ``_facets_of``, which reads the faces off it
-with no rank test for the face lattice, the volume and ``from_halfspaces``.
+(see ``linalg``) and nothing else: every vertex is a primitive homogeneous
+row (V, d) with v = V/d and d > 0, every facet <a, x> <= b a primitive row
+(a, -b), and the facet-vertex incidence a bitmask per facet.  The
+``Fraction`` vertices and facets are views of these rows, made on first
+use.  A vertex is on a facet when the integer dot product of their rows is
+0 and inside it when it is <= 0.  The incidence is computed once per hull,
+by the exact consistency check, and reused by the polar and by
+``_facets_of``, which reads the faces off it with no rank test for the face
+lattice, the volume and ``from_halfspaces``.
 
 Facet enumeration uses incremental insertion of halfspaces in the
 double-description style on the homogenization cone, which is robust under
@@ -119,24 +121,25 @@ def _antipode(row: Row) -> Row:
 class Polytope:
     """Immutable full-dimensional convex polytope with exact rational data.
 
-    ``vertices`` holds exactly the extreme points, each reduced to lowest
-    terms and sorted lexicographically; polytope equality is equality of
-    these canonical lists.  ``rows`` holds the same vertices as homogeneous
-    integer rows, ``facet_rows`` the facets as integer rows (in no particular
-    order) and ``incidence``, per facet row, the bitmask of the indices of
-    the vertices on it.  The ``Fraction`` facets are made on first use.
+    ``rows`` holds exactly the extreme points as primitive homogeneous
+    integer rows, sorted as their points sort lexicographically; a point has
+    one such row, so polytope equality is equality of these canonical lists.
+    ``facet_rows`` holds the facets as integer rows (in no particular order)
+    and ``incidence``, per facet row, the bitmask of the indices of the
+    vertices on it.  The ``Fraction`` views ``vertices`` and ``facets`` are
+    derived from the rows on first use.
     """
 
-    __slots__ = ("dim", "vertices", "rows", "facet_rows", "incidence", "symmetric", "_facets")
+    __slots__ = ("dim", "rows", "facet_rows", "incidence", "symmetric", "_vertices", "_facets")
 
-    def __init__(self, dim: int, vertices: tuple[Vec, ...], rows, facet_rows, incidence):
+    def __init__(self, dim: int, rows, facet_rows, incidence):
         self.dim = dim
-        self.vertices = vertices
         self.rows = rows
         self.facet_rows = facet_rows
         self.incidence = incidence
         row_set = set(rows)
         self.symmetric = all(_antipode(r) in row_set for r in rows)
+        self._vertices = None
         self._facets = None
 
     def _halfspaces(self) -> list[HalfSpace]:
@@ -145,6 +148,12 @@ class Polytope:
         if self.origin_interior():
             return [HalfSpace(dehomogenize(f[:-1] + (-f[-1],)), ONE) for f in self.facet_rows]
         return [HalfSpace(as_vec(f[:-1]), Fraction(-f[-1])) for f in self.facet_rows]
+
+    @property
+    def vertices(self) -> tuple[Vec, ...]:
+        if self._vertices is None:
+            self._vertices = tuple(dehomogenize(r) for r in self.rows)
+        return self._vertices
 
     @property
     def facets(self) -> tuple[HalfSpace, ...]:
@@ -168,13 +177,13 @@ class Polytope:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polytope):
             return NotImplemented
-        return self.dim == other.dim and self.vertices == other.vertices
+        return self.dim == other.dim and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.vertices))
+        return hash((self.dim, self.rows))
 
     def __repr__(self) -> str:
-        return f"Polytope(dim={self.dim}, vertices={len(self.vertices)})"
+        return f"Polytope(dim={self.dim}, vertices={len(self.rows)})"
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +382,9 @@ def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row])
     return tuple(incidence)
 
 
-def _polytope(dim: int, points: Sequence[Vec], rows, facet_rows, incidence, keep) -> Polytope:
-    """Polytope on the points indexed by ``keep``, sorted; the incidence is
-    renumbered to the sorted vertex list.  The points sort as their rows'
+def _polytope(dim: int, rows, facet_rows, incidence, keep) -> Polytope:
+    """Polytope on the point rows indexed by ``keep``, sorted; the incidence
+    is renumbered to the sorted vertex list.  The points sort as their rows'
     V scaled to the common denominator of the kept rows."""
     common = lcm(*(rows[i][-1] for i in keep))
     keep = sorted(keep, key=lambda i: [c * (common // rows[i][-1]) for c in rows[i][:-1]])
@@ -387,13 +396,7 @@ def _polytope(dim: int, points: Sequence[Vec], rows, facet_rows, incidence, keep
             if i in position:
                 new |= 1 << position[i]
         renumbered.append(new)
-    return Polytope(
-        dim,
-        tuple(points[i] for i in keep),
-        tuple(rows[i] for i in keep),
-        tuple(facet_rows),
-        tuple(renumbered),
-    )
+    return Polytope(dim, tuple(rows[i] for i in keep), tuple(facet_rows), tuple(renumbered))
 
 
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
@@ -408,15 +411,11 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     c is the origin for a symmetric point set and otherwise the centroid of
     dim+1 affinely independent points, whose denominator stays small.
     """
-    by_row: dict[Row, Vec] = {}
-    for p in points:
-        v = as_vec(p)
-        by_row.setdefault(homogeneous(v), v)
-    if not by_row:
+    rows = list(dict.fromkeys(homogeneous(as_vec(p)) for p in points))
+    if not rows:
         raise GeometryError("no points given")
-    rows, pts = list(by_row), list(by_row.values())
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
+    dim = len(rows[0]) - 1
+    if any(len(r) != dim + 1 for r in rows):
         raise GeometryError("points have mixed dimensions")
     basis = independent_rows(rows, dim + 1)
     if len(basis) <= dim:
@@ -441,21 +440,21 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
         primitive([m * a for a in u[:-1]] + [-m * u[-1] - int_dot(u[:-1], center)])
         for u in vertex_enumeration(shifted, dim, integer_rows=True)
     ]
-    return _hull_polytope(dim, pts, rows, facet_rows)
+    return _hull_polytope(dim, rows, facet_rows)
 
 
-def _hull_polytope(dim: int, points: Sequence[Vec], rows, facet_rows) -> Polytope:
-    """The hull of ``points`` from its facet rows: the consistency check of
-    every point against every facet, then the extreme points."""
+def _hull_polytope(dim: int, rows, facet_rows) -> Polytope:
+    """The hull of the point ``rows`` from its facet rows: the consistency
+    check of every point against every facet, then the extreme points."""
     incidence = _check_consistency(dim, rows, facet_rows)
 
     # A point is extreme exactly when the facets through it meet in it alone.
-    meet = [-1] * len(points)
+    meet = [-1] * len(rows)
     for mask in incidence:
         for i in bits(mask):
             meet[i] &= mask
-    keep = [i for i in range(len(points)) if meet[i] == 1 << i]
-    return _polytope(dim, points, rows, facet_rows, incidence, keep)
+    keep = [i for i in range(len(rows)) if meet[i] == 1 << i]
+    return _polytope(dim, rows, facet_rows, incidence, keep)
 
 
 def _grow_hull(P: Polytope, points: Iterable[Sequence]) -> Polytope:
@@ -478,14 +477,12 @@ def _grow_hull(P: Polytope, points: Iterable[Sequence]) -> Polytope:
     """
     if not P.symmetric:
         raise GeometryError("the warm start needs a centrally symmetric body")
-    pts, rows = list(P.vertices), list(P.rows)
+    rows = list(P.rows)
     index = {r: i for i, r in enumerate(rows)}
     for p in points:
-        v = as_vec(p)
-        row = homogeneous(v)
+        row = homogeneous(as_vec(p))
         if row not in index:
             index[row] = len(rows)
-            pts.append(v)
             rows.append(row)
     position: dict[int, int] = {}  # point index -> its constraint's bit
     pairs, singles = [], []
@@ -509,7 +506,7 @@ def _grow_hull(P: Polytope, points: Iterable[Sequence]) -> Polytope:
         rays, masks = _slab(rays, masks, _antipode(pairs[pair]), pair, even, P.dim)
     rays, _ = _cut(rays, masks, [_antipode(r) for r in singles], 2 * len(pairs), P.dim)
     facet_rows = [r[:-1] + (-r[-1],) for r in rays]
-    return _hull_polytope(P.dim, pts, rows, facet_rows)
+    return _hull_polytope(P.dim, rows, facet_rows)
 
 
 def from_halfspaces(
@@ -528,8 +525,7 @@ def from_halfspaces(
         raise DimensionDeficiencyError(dim, len(independent_rows(rows)) - 1)
     facets = set(_maximal(incidence))
     kept = [(f, mask) for f, mask in zip(candidates, incidence) if mask in facets]
-    points = [dehomogenize(r) for r in rows]
-    return _polytope(dim, points, rows, *zip(*kept), range(len(rows)))
+    return _polytope(dim, rows, *zip(*kept), range(len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +556,8 @@ def _polar(P: Polytope, coords: Sequence[tuple[int, int]]) -> Polytope:
         for i in bits(mask):
             transposed[i] |= 1 << j
     rows = [_move(f, coords) for f in P.facet_rows]
-    points = [dehomogenize(r) for r in rows]
     facet_rows = [_move(r, coords) for r in P.rows]
-    return _polytope(P.dim, points, rows, facet_rows, transposed, range(len(rows)))
+    return _polytope(P.dim, rows, facet_rows, transposed, range(len(rows)))
 
 
 def polar_dual(P: Polytope) -> Polytope:
@@ -582,13 +577,12 @@ def apply_linear(matrix: Sequence[Sequence], P: Polytope) -> Polytope:
     if len(M) != P.dim or any(len(row) != P.dim for row in M):
         raise GeometryError("matrix shape does not match the polytope dimension")
     inv_t = transpose(invert(M))  # SingularMatrixError for singular input
-    points = [tuple(dot(row, v) for row in M) for v in P.vertices]
+    rows = [homogeneous(tuple(dot(row, v) for row in M)) for v in P.vertices]
     facet_rows = [
         fraction_vec_to_int(tuple(dot(row, as_vec(f[:-1])) for row in inv_t) + (Fraction(f[-1]),))
         for f in P.facet_rows
     ]
-    rows = [homogeneous(p) for p in points]
-    return _polytope(P.dim, points, rows, facet_rows, P.incidence, range(len(rows)))
+    return _polytope(P.dim, rows, facet_rows, P.incidence, range(len(rows)))
 
 
 def gauge_norm(P: Polytope, x: Sequence) -> Fraction:
@@ -672,7 +666,7 @@ def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
 def f_vector(P: Polytope) -> tuple[int, ...]:
     """Face counts (f_0, ..., f_{dim-1})."""
     levels = face_lattice(P)
-    return (len(P.vertices),) + tuple(len(levels[k]) for k in range(1, P.dim))
+    return (len(P.rows),) + tuple(len(levels[k]) for k in range(1, P.dim))
 
 
 def _pulling_triangulation(

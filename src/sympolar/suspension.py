@@ -3,9 +3,10 @@
 The suspension of a symmetric body X in R^{2n} is the body in R^{2+2n}
 consisting of the pairs (v, x) with v in the hexagon and
 |omega(u, v)| + ||x||_X <= 1, where u = (1, 1) is the distinguished hexagon
-vertex.  Two construction routes are provided: a vertex route that is valid
-for symplectically self-polar X, and a halfspace route valid for every
-symmetric X with the origin interior.
+vertex.  The vertex route builds the family; it accepts only symplectically
+self-polar X, which keeps the family self-polar.  The halfspace route gives
+the same body for every symmetric X and is the independent construction the
+tests compare it against.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from sympolar.geometry import (
     from_halfspaces,
     gauge_norm,
 )
-from sympolar.linalg import Vec, as_vec
+from sympolar.linalg import Vec, as_vec, homogeneous
 from sympolar.symplectic import is_self_polar, omega
 
 ONE = Fraction(1)
@@ -43,9 +44,10 @@ def hexagon() -> Polytope:
 
 
 def suspend_vertices(X: Polytope) -> Polytope:
-    """Suspension via its vertex description, valid when X is symplectically
-    self-polar: the hull of the four short hexagon vertices at level zero and
-    of {±u} x V(X)."""
+    """Suspension via its vertex description: the hull of the four short
+    hexagon vertices at level zero and of {±u} x V(X).  This is the body of
+    ``suspend_halfspaces`` for every symmetric X; X must be symplectically
+    self-polar here so that the suspension family stays self-polar."""
     if not is_self_polar(X):
         raise GeometryError(
             "vertex-route suspension needs a symplectically self-polar body; "
@@ -62,7 +64,7 @@ def suspend_vertices(X: Polytope) -> Polytope:
         points.append(PIVOT + v)
         points.append((-ONE, -ONE) + v)
     result = convex_hull(points)
-    if set(result.vertices) != set(points):
+    if set(result.rows) != {homogeneous(p) for p in points}:
         raise GeometryError("suspension points failed to be in convex position")
     return result
 

@@ -23,7 +23,7 @@ from sympolar.geometry import (
     _polar,
     convex_hull,  # noqa: F401 - perfbench's tracer test wraps symplectic.convex_hull
 )
-from sympolar.linalg import Vec, as_vec, homogeneous, vneg
+from sympolar.linalg import Vec, as_vec, dehomogenize, homogeneous, vneg
 
 Witness = tuple[Vec, Vec, Fraction]
 
@@ -37,25 +37,30 @@ class ExpansionError(GeometryError):
 
 
 def omega(x: Sequence, y: Sequence) -> Fraction:
-    """The standard symplectic form of two vectors in R^{2n}."""
+    """The standard symplectic form of two vectors in R^{2n}: a view of
+    ``omega_rows`` on their homogeneous rows, omega(V/d, W/e) = omega(V, W)/(de)."""
     xv, yv = as_vec(x), as_vec(y)
     if len(xv) != len(yv):
         raise ValueError(f"dimension mismatch: {len(xv)} vs {len(yv)}")
     if len(xv) % 2 != 0:
         raise ValueError(f"symplectic form needs even dimension, got {len(xv)}")
-    total = Fraction(0)
-    for i in range(0, len(xv), 2):
-        total += xv[i] * yv[i + 1] - xv[i + 1] * yv[i]
-    return total
+    X, Y = homogeneous(xv), homogeneous(yv)
+    return Fraction(omega_rows(X, Y), X[-1] * Y[-1])
 
 
 def omega_rows(x: Sequence[int], y: Sequence[int]) -> int:
     """omega(V, W) of two homogeneous rows (V, d), (W, e); the trailing
-    homogenizing entries are ignored."""
+    homogenizing entries are ignored.  The only place the interleaved
+    coordinate convention is written out."""
     total = 0
     for i in range(0, len(x) - 1, 2):
         total += x[i] * y[i + 1] - x[i + 1] * y[i]
     return total
+
+
+def _rotation(dim: int) -> list[tuple[int, int]]:
+    """Blockwise (y1, y2) -> (-y2, y1) as ``_polar``'s (sign, index) list."""
+    return [(-1, k + 1) if k % 2 == 0 else (1, k - 1) for k in range(dim)]
 
 
 def polar_to_sympolar_matrix(dim: int) -> tuple[Vec, ...]:
@@ -64,29 +69,23 @@ def polar_to_sympolar_matrix(dim: int) -> tuple[Vec, ...]:
     omega(x, M y) = <x, y>, and is locked in by the involution tests."""
     if dim % 2 != 0:
         raise ValueError(f"need even dimension, got {dim}")
-    rows = []
-    for i in range(dim):
-        row = [Fraction(0)] * dim
-        if i % 2 == 0:
-            row[i + 1] = Fraction(-1)
-        else:
-            row[i - 1] = Fraction(1)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(Fraction(sign if j == index else 0) for j in range(dim))
+        for sign, index in _rotation(dim)
+    )
 
 
 def _sympolar_coords(P: Polytope) -> list[tuple[int, int]]:
-    """The matrix of ``polar_to_sympolar_matrix`` as the signed coordinate
-    permutation ``_polar`` takes, after checking that P has a symplectic
-    polar here: even dimension and symmetric, hence the origin interior."""
+    """The signed coordinate permutation of ``polar_to_sympolar_matrix``,
+    after checking that P has a symplectic polar here: even dimension and
+    symmetric, hence the origin interior."""
     if P.dim % 2 != 0:
         raise GeometryError("symplectic polarity needs even dimension")
     if not P.symmetric:
         raise GeometryError(
             "symplectic polarity is only provided for centrally symmetric bodies"
         )
-    matrix = polar_to_sympolar_matrix(P.dim)  # one nonzero entry per row
-    return [next((int(c), k) for k, c in enumerate(row) if c) for row in matrix]
+    return _rotation(P.dim)
 
 
 def _sympolar_rows(P: Polytope) -> list[Row]:
@@ -119,16 +118,15 @@ def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
     pairs of the first half at or before it in scan order, with the same
     |omega|; so the scan of that half alone finds the same first pair.
     """
-    verts, rows = P.vertices, P.rows
+    rows = P.rows
     n = len(rows) // 2 if P.symmetric else len(rows)
     for i, x in enumerate(rows[:n]):
-        for j in range(i + 1, n):
-            y = rows[j]
+        for y in rows[i + 1 : n]:
             value, bound = omega_rows(x, y), x[-1] * y[-1]
             if value > bound:
-                return False, (verts[i], verts[j], Fraction(value, bound))
+                return False, (dehomogenize(x), dehomogenize(y), Fraction(value, bound))
             if -value > bound:
-                return False, (verts[j], verts[i], Fraction(-value, bound))
+                return False, (dehomogenize(y), dehomogenize(x), Fraction(-value, bound))
     return True, None
 
 

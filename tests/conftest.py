@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sympolar.geometry import Polytope, convex_hull
+from sympolar.geometry import DimensionDeficiencyError, Polytope, convex_hull
 from sympolar.suspension import hexagon, power_suspend
 
 
@@ -48,11 +48,17 @@ def random_point(rng: random.Random, dim: int, span: int = 3) -> tuple:
 
 
 def random_symmetric_polytope(rng: random.Random, dim: int, points: int = 5) -> Polytope:
-    """Random full-dimensional centrally symmetric polytope on a small grid."""
+    """Random full-dimensional centrally symmetric polytope on a small grid.
+
+    ``points`` antipodal pairs span at most R^points, so ``points < dim``
+    can never succeed and raises ValueError; a draw that is not
+    full-dimensional is drawn again."""
+    if points < dim:
+        raise ValueError(f"{points} antipodal pairs cannot span R^{dim}")
     while True:
         pts = [random_point(rng, dim, span=2) for _ in range(points)]
         pts += [tuple(-c for c in p) for p in pts]
         try:
             return convex_hull(pts)
-        except Exception:
+        except DimensionDeficiencyError:
             continue

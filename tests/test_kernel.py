@@ -13,6 +13,7 @@ from math import factorial
 
 import pytest
 
+from sympolar.capacity import _pair_rep, generator_base
 from sympolar.experiments import enumerate_pm1, random_selfpolar
 from sympolar.geometry import (
     GeometryError,
@@ -24,8 +25,10 @@ from sympolar.geometry import (
     polar_dual,
     volume,
 )
+from sympolar.io import read_polytope, write_polytope
 from sympolar.linalg import bits, dehomogenize, homogeneous, int_adjugate, int_det, invert, vneg
-from sympolar.symplectic import check_subset_sympolar, symplectic_polar
+from sympolar.suspension import power_suspend, suspend_halfspaces
+from sympolar.symplectic import check_subset_sympolar, expand_step, symplectic_polar
 
 from conftest import random_point, random_symmetric_polytope
 
@@ -311,3 +314,50 @@ def test_int_adjugate_matches_fraction_inverse():
         inverse = invert([[Fraction(c) for c in row] for row in A])
         assert adj == [[det * c for c in row] for row in inverse]
     assert singular > 20
+
+
+# --- the Fraction views of the integer rows -----------------------------------
+
+
+def test_vertices_are_a_view_of_the_rows_on_every_route(tmp_path, hexa, cross2, p2, generated):
+    skew = [[1, F(1, 3), 0, 0], [0, 1, 0, 0], [F(-1, 2), 0, 2, 0], [0, 0, F(1, 5), -1]]
+    write_polytope(tmp_path / "p2.json", p2)
+    routes = {
+        "convex_hull": [hexa, p2, generated],
+        "expand_step": [expand_step(cross2, [(1, 1), (-1, -1)])],
+        "polar_dual": [polar_dual(p2), polar_dual(generated)],
+        "symplectic_polar": [symplectic_polar(p2), symplectic_polar(generated)],
+        "from_halfspaces": [suspend_halfspaces(hexa)],
+        "apply_linear": [apply_linear(skew, p2), apply_linear(skew, generated)],
+        "read_polytope": [read_polytope(tmp_path / "p2.json")],
+    }
+    for route, bodies in routes.items():
+        for P in bodies:
+            assert P.vertices == tuple(dehomogenize(r) for r in P.rows), route
+    # equality and the hash read the rows, so equal bodies from different
+    # routes compare and hash equal
+    same = [
+        (routes["expand_step"][0], hexa),
+        (routes["symplectic_polar"][0], p2),
+        (routes["from_halfspaces"][0], power_suspend(2)),
+        (routes["read_polytope"][0], p2),
+    ]
+    for P, Q in same:
+        assert P is not Q
+        assert P == Q and hash(P) == hash(Q)
+    assert routes["apply_linear"][0] != p2
+
+
+def test_generator_base_is_the_old_sorted_pair_representatives():
+    rng = random.Random(41)
+    random_bodies = [
+        random_symmetric_polytope(rng, dim, points=dim + 1) for dim in (2, 2, 4, 4, 6)
+    ]
+    bodies = [P for P in BODIES if P.symmetric] + random_bodies
+    assert len(bodies) == 18
+    for P in bodies:
+        for mode, items in (
+            ("vertices", P.vertices),
+            ("facet-normals", [f.normal for f in P.facets]),
+        ):
+            assert generator_base(P, mode) == tuple(sorted({_pair_rep(v) for v in items}))
