@@ -156,6 +156,8 @@ def _cmd_certify(args) -> int:
         raise CapacityError(
             f"stored objective {objective} does not match re-evaluation {value}"
         )
+    if value <= 0:
+        raise CapacityError(f"objective {value} is not positive and bounds nothing")
     print(f"objective {_rational(value)}")
     print(f"certified upper bound: c_EHZ <= {_rational(1 / value)}")
     return EXIT_OK
@@ -176,7 +178,7 @@ def _cmd_generate(args) -> int:
     done = [r for r in result.records if r.self_polar]
     print(
         f"{len(done)}/{args.runs} runs reached a self-polar polytope; "
-        f"csv: {csv_path}" + (f"; svg: {svg_path}" if svg_path else "")
+        f"csv: {csv_path}" + (f"; svg: {svg_path}" if svg_path and args.runs > 1 else "")
     )
     if result.min_volume is not None:
         print(

@@ -32,11 +32,13 @@ constraint right after its antipode's, which keeps the intermediate cones
 of the degenerate suspensions small.  The warm start keeps the symmetric
 polar cone's rays in mirror pairs and cuts it by each new antipodal pair
 of points at once, as one slab whose second half is the mirror of the
-first.  The mirror facet (-a, -b) of a facet row (a, -b) satisfies
-(-a, -b) . (V, d) = (a, -b) . (-V, d), so the consistency check tests each
-such pair of facets once and maps the tight set through the antipode
-permutation.  And the volume of a symmetric body is twice that of the
-cones from the origin over one facet of each mirror pair.
+first; it reads the pairs off the sorted rows, as negation reverses the
+order of points (``_mirrored``).  The mirror facet (-a, -b) of a facet row
+(a, -b) satisfies (-a, -b) . (V, d) = (a, -b) . (-V, d), so the
+consistency check tests each such pair of facets once and maps the tight
+set through the antipode permutation.  And the volume of a symmetric body
+is twice that of the cones from the origin over one facet of each mirror
+pair.
 """
 
 from __future__ import annotations
@@ -118,6 +120,12 @@ def _antipode(row: Row) -> Row:
     return tuple(-c for c in row[:-1]) + row[-1:]
 
 
+def _mirrored(rows: Sequence[Row]) -> bool:
+    """Whether row N-1-i is the antipode of row i for every i: for distinct
+    rows sorted as their points sort, whether the points are symmetric."""
+    return all(rows[-1 - i] == _antipode(rows[i]) for i in range((len(rows) + 1) // 2))
+
+
 class Polytope:
     """Immutable full-dimensional convex polytope with exact rational data.
 
@@ -137,8 +145,7 @@ class Polytope:
         self.rows = rows
         self.facet_rows = facet_rows
         self.incidence = incidence
-        row_set = set(rows)
-        self.symmetric = all(_antipode(r) in row_set for r in rows)
+        self.symmetric = _mirrored(rows)
         self._vertices = None
         self._facets = None
 
@@ -224,34 +231,6 @@ def _crossings(
     return fresh, fresh_masks
 
 
-def _cut(
-    rays: list[Row], masks: list[int], constraints: Sequence[Row], first_bit: int, dim: int
-) -> tuple[list[Row], list[int]]:
-    """One double-description pass: the extreme rays of the cone spanned by
-    ``rays``, a pointed cone in R^(dim+1) given by all its extreme rays, cut
-    by each constraint row r . x >= 0 in turn.  ``masks`` holds, per ray,
-    the bits of the constraints already imposed that it is tight on;
-    constraint j of ``constraints`` takes bit ``first_bit + j``."""
-    for idx, row in enumerate(constraints, first_bit):
-        bit = 1 << idx
-        vals = [int_dot(row, ray) for ray in rays]
-        if all(v >= 0 for v in vals):
-            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
-            continue
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        fresh, fresh_masks = _crossings(rays, masks, vals, plus, minus, bit, dim)
-        keep = plus + zero
-        rays = [rays[i] for i in keep] + fresh
-        masks = [
-            masks[i] | bit if vals[i] == 0 else masks[i] for i in keep
-        ] + fresh_masks
-        if not rays:
-            raise GeometryError("halfspace system has empty interior")
-    return rays, masks
-
-
 def _swap_pairs(mask: int, even: int) -> int:
     """``mask`` with bits 2j and 2j+1 swapped, for each bit 2j set in ``even``."""
     return (mask & even) << 1 | (mask >> 1) & even
@@ -260,7 +239,8 @@ def _swap_pairs(mask: int, even: int) -> int:
 def _slab(
     rays: list[Row], masks: list[int], row: Row, pair: int, even: int, dim: int
 ) -> tuple[list[Row], list[int]]:
-    """``_cut`` by the constraint row r = (-V, d) of a point q = V/d and the
+    """The double-description step (as in ``vertex_enumeration``) by the
+    constraint row r = (-V, d) of a point q = V/d, r . x >= 0, and the
     row (V, d) of -q together, on a cone symmetric under the mirror
     s(u, t) = (-u, t): rays 2k and 2k+1 are mirrors, constraint pairs take
     bits 2j and 2j+1, and ``even`` has bit 2j set for every pair j, so a
@@ -322,7 +302,23 @@ def vertex_enumeration(
     full_mask = (1 << n) - 1
     masks: list[int] = [full_mask & ~(1 << j) for j in range(n)]
 
-    rays, _ = _cut(rays, masks, ordered[n:], n, dim)
+    # cut the cone by each other constraint row r . x >= 0 in turn; a ray's
+    # mask holds the bits of the constraints so far that it is tight on
+    for idx, row in enumerate(ordered[n:], n):
+        bit = 1 << idx
+        vals = [int_dot(row, ray) for ray in rays]
+        if all(v >= 0 for v in vals):
+            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+            continue
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        fresh, fresh_masks = _crossings(rays, masks, vals, plus, minus, bit, dim)
+        keep = plus + zero
+        rays = [rays[i] for i in keep] + fresh
+        masks = [masks[i] | bit if vals[i] == 0 else masks[i] for i in keep] + fresh_masks
+        if not rays:
+            raise GeometryError("halfspace system has empty interior")
 
     for ray in rays:
         if ray[dim] == 0:
@@ -420,14 +416,13 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     basis = independent_rows(rows, dim + 1)
     if len(basis) <= dim:
         raise DimensionDeficiencyError(dim, len(basis) - 1)
-    row_set = set(rows)
-    order = rows
-    if all(_antipode(r) in row_set for r in rows):
+    # each point's constraint right after its antipode's keeps the cones of
+    # the double description small; a symmetric set gains no point by it
+    order = list(dict.fromkeys(x for r in rows for x in (r, _antipode(r))))
+    if len(order) == len(rows):
         center, m = [0] * dim, 1
-        # each point's constraint right after its antipode's keeps the
-        # intermediate cones of the double description small
-        order = list(dict.fromkeys(x for r in rows for x in (r, _antipode(r))))
     else:
+        order = rows
         scale = lcm(*(rows[i][-1] for i in basis))
         center = [sum(rows[i][k] * (scale // rows[i][-1]) for i in basis) for k in range(dim)]
         m = scale * len(basis)  # c = center / m
@@ -457,56 +452,43 @@ def _hull_polytope(dim: int, rows, facet_rows) -> Polytope:
     return _polytope(dim, rows, facet_rows, incidence, keep)
 
 
-def _grow_hull(P: Polytope, points: Iterable[Sequence]) -> Polytope:
-    """``convex_hull(list(P.vertices) + points)`` for a centrally symmetric
-    P, warm-started from P's double-description pair.
+def _grow_hull(P: Polytope, rows: Sequence[Row]) -> Polytope:
+    """The hull of a centrally symmetric P and a centrally symmetric point
+    set, given as distinct primitive homogeneous ``rows`` sorted as their
+    points sort (what ``expand_step`` passes), warm-started from P's
+    double-description pair.
 
     The facets of the hull are the vertices of its polar, which is P's polar
     cut by <q, u> <= 1 for each new point q.  So the double description
     starts from P's polar cone, whose extreme rays are P's facet rows
     (a, -b) read as (a, b) and whose tight sets are ``P.incidence``; only
     the new points' constraints are inserted.  That cone is symmetric, so
-    its rays are stored in mirror pairs and P's vertex pairs renumbered to
-    bits 2j, 2j+1; each new point whose antipode is new too is inserted
-    with it as one slab |<q, u>| <= t (``_slab``), in the given order.  The
-    other new points, the origin or a point whose antipode is not among
-    the points, follow through ``_cut``.  Only arbitrary point lists (the
-    tests) give such points: ``expand_step`` passes a centrally symmetric
-    set of vertices of P's symplectic polar, which holds neither the origin
-    nor a point whose antipode is a vertex of P.
+    its rays are stored in mirror pairs.  Row N-1-i is the antipode of row i
+    (``_mirrored``), so P's vertex pair takes bits 2i and 2i+1, and each new
+    row of the first half is inserted with its mirrored row as one slab
+    |<q, u>| <= t (``_slab``), in the given order.  Vertices of P among the
+    rows add nothing and are dropped, which keeps the rest mirrored; the
+    origin, a middle row, is inside P and adds no constraint.
     """
     if not P.symmetric:
         raise GeometryError("the warm start needs a centrally symmetric body")
-    rows = list(P.rows)
-    index = {r: i for i, r in enumerate(rows)}
-    for p in points:
-        row = homogeneous(as_vec(p))
-        if row not in index:
-            index[row] = len(rows)
-            rows.append(row)
-    position: dict[int, int] = {}  # point index -> its constraint's bit
-    pairs, singles = [], []
-    for i, r in enumerate(rows):
-        j = index.get(_antipode(r))
-        if j is None or j == i:
-            singles.append(r)
-        elif i < j:
-            position[i], position[j] = 2 * len(pairs), 2 * len(pairs) + 1
-            pairs.append(r)
-    even = ((1 << 2 * len(pairs)) - 1) // 3
+    known = set(P.rows)
+    new = [r for r in rows if r not in known]
+    n = len(P.rows)
+    even = ((1 << 2 * ((n + len(new)) // 2)) - 1) // 3  # bit 2j of each pair j
     rays: list[Row] = []
     masks: list[int] = []
     for f, tight in zip(P.facet_rows, P.incidence):
         if f > _antipode(f):  # one facet row of each mirror pair
-            mask = sum(1 << position[i] for i in bits(tight))
+            # vertex i < n/2 takes bit 2i, its antipode n-1-i bit 2i+1
+            mask = sum(1 << min(2 * i, 2 * (n - i) - 1) for i in bits(tight))
             rays += [f[:-1] + (-f[-1],), tuple(-c for c in f)]
             masks += [mask, _swap_pairs(mask, even)]
-    for pair in range(len(P.rows) // 2, len(pairs)):
+    for pair, r in enumerate(new[: len(new) // 2], n // 2):
         # (-V, d): <q, u> <= t, q = V/d
-        rays, masks = _slab(rays, masks, _antipode(pairs[pair]), pair, even, P.dim)
-    rays, _ = _cut(rays, masks, [_antipode(r) for r in singles], 2 * len(pairs), P.dim)
+        rays, masks = _slab(rays, masks, _antipode(r), pair, even, P.dim)
     facet_rows = [r[:-1] + (-r[-1],) for r in rays]
-    return _hull_polytope(P.dim, rows, facet_rows)
+    return _hull_polytope(P.dim, list(P.rows) + new, facet_rows)
 
 
 def from_halfspaces(

@@ -131,12 +131,14 @@ def certificate_fields_from_dict(data) -> tuple[str, tuple, tuple, Fraction]:
         raise MalformedInputError(f"certificate JSON missing field: {exc}") from exc
     if kind not in ("vertices", "facet-normals"):
         raise MalformedInputError(f"unknown certificate kind: {kind!r}")
+    if not isinstance(raw_indices, list) or not isinstance(raw_coeffs, list):
+        raise MalformedInputError("certificate indices and coeffs must be lists")
     indices = []
     for entry in raw_indices:
         if (
             not isinstance(entry, dict)
-            or not isinstance(entry.get("index"), int)
-            or entry.get("sign") not in (-1, 1)
+            or not all(type(entry.get(key)) is int for key in ("index", "sign"))
+            or entry["sign"] not in (-1, 1)
         ):
             raise MalformedInputError(f"invalid index entry: {entry!r}")
         indices.append((entry["index"], entry["sign"]))

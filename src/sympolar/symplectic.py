@@ -19,11 +19,12 @@ from sympolar.geometry import (
     Polytope,
     Row,
     _grow_hull,
+    _mirrored,
     _move,
     _polar,
     convex_hull,  # noqa: F401 - perfbench's tracer test wraps symplectic.convex_hull
 )
-from sympolar.linalg import Vec, as_vec, dehomogenize, homogeneous, vneg
+from sympolar.linalg import Vec, as_vec, dehomogenize, homogeneous
 
 Witness = tuple[Vec, Vec, Fraction]
 
@@ -151,26 +152,28 @@ def expand_step(K: Polytope, S: Sequence[Sequence]) -> Polytope:
     """Grow K by a centrally symmetric set S of vertices of K^omega, to the
     hull of K and S, which must lie inside its own symplectic polar.
 
-    The polar's vertices are read from K's facet rows, and the hull is
-    warm-started from K's double description, inserting only the
-    constraints of S (see ``geometry._grow_hull``).  The one check on the
-    result also covers K subseteq K^omega and omega(v, w) <= 1 on pairs of
-    S: the result contains K and S, and the bilinear form takes its maximum
-    over it at a pair of its vertices.  A failure raises ExpansionError
-    with a violating vertex pair of the grown body as witness.
+    S becomes rows once, sorted as its points sort, which tells whether it
+    is symmetric (``geometry._mirrored``); the polar's vertex rows are read
+    from K's facet rows.  The hull is warm-started from K's double
+    description, one slab per new antipodal pair (``geometry._grow_hull``).
+    The one check on the result also covers K subseteq K^omega and
+    omega(v, w) <= 1 on pairs of S: the result contains K and S, and the
+    bilinear form takes its maximum over it at a pair of its vertices.  A
+    failure raises ExpansionError with a violating vertex pair of the grown
+    body as witness.
     """
-    points = [as_vec(p) for p in S]
-    point_set = set(points)
-    if {vneg(p) for p in points} != point_set:
+    rows = list(dict.fromkeys(homogeneous(p) for p in sorted(as_vec(p) for p in S)))
+    if not _mirrored(rows):
         raise ExpansionError("expansion set is not centrally symmetric")
     polar_rows = set(_sympolar_rows(K))
-    for p in points:
-        if homogeneous(p) not in polar_rows:
+    for r in rows:
+        if r not in polar_rows:
+            p = dehomogenize(r)
             raise ExpansionError(
                 f"expansion point {p} is not a vertex of the symplectic polar",
                 (p,),
             )
-    grown = _grow_hull(K, sorted(point_set))
+    grown = _grow_hull(K, rows)
     ok, witness = check_subset_sympolar(grown)
     if not ok:
         raise ExpansionError(

@@ -115,6 +115,45 @@ def test_cli_ehz_with_certificate(tmp_path, capsys):
     assert "c_EHZ <= 5/2" in capsys.readouterr().out
 
 
+def _write_p2_certificate(tmp_path, indices, coeffs, objective):
+    _call(tmp_path, "power-suspend", "2", "--out", "p2.json")
+    cert = {"kind": "vertices", "indices": indices, "coeffs": coeffs, "objective": objective}
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    return str(tmp_path / "p2.json"), str(tmp_path / "cert.json")
+
+
+@pytest.mark.parametrize(
+    "indices, objective",
+    [
+        # omega(g0, g1) = -1, so the objective is -1/4
+        ([{"index": 0, "sign": 1}, {"index": 1, "sign": 1}], "-1/4"),
+        # omega(g0, -g0) = 0
+        ([{"index": 0, "sign": 1}, {"index": 0, "sign": -1}], "0"),
+    ],
+)
+def test_cli_certify_rejects_objective_that_bounds_nothing(tmp_path, capsys, indices, objective):
+    paths = _write_p2_certificate(tmp_path, indices, ["1/2", "1/2"], objective)
+    capsys.readouterr()
+    assert _call(tmp_path, "certify", *paths) == 5
+    captured = capsys.readouterr()
+    assert "certified upper bound" not in captured.out
+    assert f"objective {objective} is not positive" in captured.err
+
+
+@pytest.mark.parametrize(
+    "indices, coeffs",
+    [
+        (5, ["1/2", "1/2"]),
+        ([{"index": 0, "sign": 1}], "1"),
+        ([{"index": True, "sign": 1}], ["1"]),
+        ([{"index": 0, "sign": True}], ["1"]),
+    ],
+)
+def test_cli_certify_malformed_fields_exit_3(tmp_path, capsys, indices, coeffs):
+    paths = _write_p2_certificate(tmp_path, indices, coeffs, "1/4")
+    assert _call(tmp_path, "certify", *paths) == 3
+
+
 def test_cli_selfpolar_and_sympolar_agree(tmp_path, capsys):
     _call(tmp_path, "power-suspend", "2", "--out", "p2.json")
     assert _call(tmp_path, "selfpolar-check", str(tmp_path / "p2.json")) == 0
@@ -166,6 +205,14 @@ def test_cli_generate(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "runs.csv").exists()
     assert (tmp_path / "runs.svg").exists()
+
+
+def test_cli_generate_single_run_names_no_svg(tmp_path, capsys):
+    # one run draws no histogram, so the output names no svg file
+    argv = ["generate", "--dim", "2", "--k", "4", "--runs", "1", "--seed", "3"]
+    assert _call(tmp_path, *argv, "--svg", "runs.svg") == 0
+    assert not (tmp_path / "runs.svg").exists()
+    assert "svg" not in capsys.readouterr().out
 
 
 def test_cli_sequences(tmp_path, capsys):

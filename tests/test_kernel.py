@@ -17,6 +17,7 @@ from sympolar.capacity import _pair_rep, generator_base
 from sympolar.experiments import enumerate_pm1, random_selfpolar
 from sympolar.geometry import (
     GeometryError,
+    _antipode,
     _check_consistency,
     _incidence,
     apply_linear,
@@ -172,6 +173,7 @@ def generated():
 
 def assert_kernel_matches_reference(P):
     assert tuple(dehomogenize(r) for r in P.rows) == P.vertices
+    assert P.symmetric == (set(map(_antipode, P.rows)) == set(P.rows))
     assert all(r[-1] > 0 for r in P.rows)
     for v in P.vertices:
         assert all(ref_value(f, v) <= 0 for f in P.facets)
@@ -216,7 +218,9 @@ def test_volume_branches_match_reference(p2):
     """A symmetric body's volume is twice the cones over one facet of each
     mirror pair; any other body's is the fan from its lowest vertex."""
     table1 = [c.representative for c in enumerate_pm1(4).classes]
-    asymmetric = BODIES[6:9]
+    # vertex 4-i is the antipode of vertex i but for the middle one
+    pentagon = convex_hull([(-2, 0), (-1, -2), (0, 3), (1, 2), (2, 0)])
+    asymmetric = BODIES[6:9] + [pentagon]
     assert all(P.symmetric for P in table1 + [p2])
     assert all(not P.symmetric and P.origin_interior() for P in asymmetric)
     for P in table1 + [p2] + asymmetric:
