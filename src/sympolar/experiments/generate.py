@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from sympolar.geometry import Polytope, Row, convex_hull, volume
+from sympolar.geometry import Polytope, Row, _antipode, _row_key, convex_hull, volume
 from sympolar.linalg import Vec, dehomogenize, fraction_vec_to_int, independent_rows, vneg
 from sympolar.symplectic import _sympolar_rows, expand_step, is_self_polar, omega_rows
 
@@ -100,10 +100,20 @@ def sample_start_points(rng: random.Random, dim: int, k: int) -> list[Vec]:
     return accepted
 
 
-def _antipodal_pair_reps(rows: list[Row]) -> list[tuple[Vec, Row]]:
-    """The points of a symmetric set of homogeneous rows whose first nonzero
-    coordinate is positive, one per antipodal pair, sorted, with their rows."""
-    return sorted((dehomogenize(row), row) for row in rows if next(c for c in row if c) > 0)
+def _antipodal_pair_reps(rows: list[Row]) -> list[Row]:
+    """The rows of a symmetric set of homogeneous rows whose first nonzero
+    coordinate is positive, one per antipodal pair, sorted as their points
+    sort."""
+    return sorted((row for row in rows if next(c for c in row if c) > 0), key=_row_key)
+
+
+def _check_parameters(dim: int, k: int, max_iter: int) -> None:
+    if dim not in (2, 4, 6):
+        raise ValueError(f"generation supports dimensions 2, 4, 6; got {dim}")
+    if k < dim:
+        raise ValueError(f"need at least dim={dim} start points, got k={k}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
 
 def random_selfpolar(
@@ -111,12 +121,7 @@ def random_selfpolar(
 ) -> ExperimentRecord:
     """One seeded generation run; re-running with the same arguments
     reproduces the record bit-identically."""
-    if dim not in (2, 4, 6):
-        raise ValueError(f"generation supports dimensions 2, 4, 6; got {dim}")
-    if k < dim:
-        raise ValueError(f"need at least dim={dim} start points, got k={k}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_parameters(dim, k, max_iter)
     rng = random.Random(seed)
     points = sample_start_points(rng, dim, k)
     K = convex_hull(points + [vneg(p) for p in points])
@@ -128,18 +133,28 @@ def random_selfpolar(
         polar_rows = _sympolar_rows(K)
         pairs = _antipodal_pair_reps(polar_rows)
         rng.shuffle(pairs)
-        chosen: list[tuple[Vec, Row]] = []
-        for rep, row in pairs:
-            if all(abs(omega_rows(row, other)) <= row[-1] * other[-1] for _, other in chosen):
-                chosen.append((rep, row))
-        self_polar = len(chosen) == len(pairs)
+        # Greedy: a pair is chosen when |omega| <= 1 against every pair
+        # chosen before it.  K lies in K^omega, and |omega(w, v)| <= 1 for w
+        # in K^omega and v in K, so a pair of K's own vertices passes every
+        # test: it is chosen untested, and only the other chosen pairs are
+        # tested against and added to K.
+        known = set(K.rows)
+        chosen = 0
+        new: list[Row] = []
+        for row in pairs:
+            if row in known:
+                chosen += 1
+            elif all(abs(omega_rows(row, other)) <= row[-1] * other[-1] for other in new):
+                chosen += 1
+                new.append(row)
+        self_polar = chosen == len(pairs)
         if not self_polar:
-            K = expand_step(K, [p for p, _ in chosen] + [vneg(p) for p, _ in chosen])
+            K = expand_step(K, [dehomogenize(r) for row in new for r in (row, _antipode(row))])
         trace.append(
             IterationStep(
                 polar_vertex_count=len(polar_rows),
                 pair_count=len(pairs),
-                selected_pairs=len(chosen),
+                selected_pairs=chosen,
                 vertex_count_after=len(K.rows),
             )
         )
@@ -205,6 +220,7 @@ def batch_generate(
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    _check_parameters(dim, k, max_iter)
 
     def one(seed: int):
         try:

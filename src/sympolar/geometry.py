@@ -36,15 +36,20 @@ first; it reads the pairs off the sorted rows, as negation reverses the
 order of points (``_mirrored``).  The mirror facet (-a, -b) of a facet row
 (a, -b) satisfies (-a, -b) . (V, d) = (a, -b) . (-V, d), so the
 consistency check tests each such pair of facets once and maps the tight
-set through the antipode permutation.  And the volume of a symmetric body
-is twice that of the cones from the origin over one facet of each mirror
-pair.
+set through the antipode permutation; it evaluates a facet row on an
+antipodal pair of points (V, d), (-V, d) with one product <a, V>.  And the
+volume of a symmetric body is twice that of the cones from the origin over
+one facet of each mirror pair.
+
+Vertices sort as their points sort; rows are compared without
+``Fraction``s or a common denominator (``_row_cmp``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
@@ -66,7 +71,6 @@ from sympolar.linalg import (
     transpose,
 )
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Row = tuple[int, ...]
@@ -345,6 +349,27 @@ def _tight(f: Row, rows: Sequence[Row]) -> int:
     return mask
 
 
+def _tight_pairs(f: Row, rows: Sequence[Row], pairs) -> int:
+    """``_tight`` on a symmetric point set given as ``pairs`` (i, k, V, d)
+    of a point row (V, d) at index i and its antipode at k: the facet row
+    f = (a, -b) takes the values s - bd and -s - bd on them, s = <a, V>."""
+    a, c = f[:-1], f[-1]
+    mask = 0
+    for i, k, V, d in pairs:
+        s = int_dot(a, V)
+        u = c * d
+        first, second = u + s, u - s
+        if first > 0 or second > 0:
+            raise GeometryError(
+                f"vertex {dehomogenize(rows[i if first > 0 else k])} violates facet row {f}"
+            )
+        if first == 0:
+            mask |= 1 << i
+        if second == 0:
+            mask |= 1 << k
+    return mask
+
+
 def _incidence(rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...]:
     """Per facet row, the bitmask of the point rows on it; raises
     GeometryError when a point lies outside a facet."""
@@ -356,18 +381,22 @@ def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row])
     is spanned by a (dim-1)-dimensional set of points on it; returns the
     incidence.
 
-    When every point's antipode is a point too, the mirror (-a, -b) of a
-    facet row (a, -b) is checked with it: (-a, -b) . r = (a, -b) . r' for
-    the antipode r' of r, so its tight set is the antipodes of the other's,
-    whose rows differ by diag(-1, ..., -1, 1) and so have equal rank."""
+    When every point's antipode is a point too, one product <a, V> per
+    antipodal pair (V, d), (-V, d) gives the values of a facet row (a, -b)
+    on both points (``_tight_pairs``).  And the mirror (-a, -b) of a facet
+    row is checked with it: (-a, -b) . r = (a, -b) . r' for the antipode r'
+    of r, so its tight set is the antipodes of the other's, whose rows
+    differ by diag(-1, ..., -1, 1) and so have equal rank."""
     index = {r: i for i, r in enumerate(rows)}
     anti = [index.get(_antipode(r)) for r in rows]
-    mirror = {f: j for j, f in enumerate(facet_rows)} if None not in anti else {}
+    symmetric = None not in anti
+    pairs = [(i, k, rows[i][:-1], rows[i][-1]) for i, k in enumerate(anti) if symmetric and i <= k]
+    mirror = {f: j for j, f in enumerate(facet_rows)} if symmetric else {}
     incidence: list[int | None] = [None] * len(facet_rows)
     for j, f in enumerate(facet_rows):
         if incidence[j] is not None:
             continue
-        mask = incidence[j] = _tight(f, rows)
+        mask = incidence[j] = _tight_pairs(f, rows, pairs) if symmetric else _tight(f, rows)
         if len(independent_rows([rows[i] for i in bits(mask)], dim)) < dim:
             raise GeometryError(
                 f"facet row {f} is not supported by a (dim-1)-dimensional vertex set"
@@ -378,12 +407,27 @@ def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row])
     return tuple(incidence)
 
 
+def _row_cmp(x: Row, y: Row) -> int:
+    """-1, 0 or 1 as the point V/d of the row x = (V, d) sorts before, with
+    or after that of y = (W, e): rows with d = e compare as tuples, others
+    by V e against W d, coordinate by coordinate."""
+    d, e = x[-1], y[-1]
+    if d == e:
+        return (x > y) - (x < y)
+    for v, w in zip(x[:-1], y):
+        if v * e != w * d:
+            return 1 if v * e > w * d else -1
+    return 0
+
+
+_row_key = cmp_to_key(_row_cmp)
+
+
 def _polytope(dim: int, rows, facet_rows, incidence, keep) -> Polytope:
-    """Polytope on the point rows indexed by ``keep``, sorted; the incidence
-    is renumbered to the sorted vertex list.  The points sort as their rows'
-    V scaled to the common denominator of the kept rows."""
-    common = lcm(*(rows[i][-1] for i in keep))
-    keep = sorted(keep, key=lambda i: [c * (common // rows[i][-1]) for c in rows[i][:-1]])
+    """Polytope on the point rows indexed by ``keep``, sorted as their
+    points sort (``_row_cmp``, with no common denominator); the incidence is
+    renumbered to the sorted vertex list."""
+    keep = sorted(keep, key=lambda i: _row_key(rows[i]))
     position = {i: j for j, i in enumerate(keep)}
     renumbered = []
     for mask in incidence:
@@ -589,7 +633,11 @@ def volume(P: Polytope) -> Fraction:
     and mirror facets (a, -b), (-a, -b) bound congruent cones, so its volume
     is twice the cones' over one facet of each mirror pair, triangulated
     through one memo.  The cone over a simplex with rows (V_i, d_i) has
-    volume |det(V_1, ..., V_dim)| / (d_1 ... d_dim dim!)."""
+    volume |det(V_1, ..., V_dim)| / (d_1 ... d_dim dim!).
+
+    The integer determinants are summed per denominator product, and these
+    sums, as ``Fraction``s, pairwise in a balanced tree, so that the
+    summands stay about one size."""
     memo: dict[int, list[tuple[int, ...]]] = {}
     if P.symmetric:
         # the mirror of every facet row is a facet row, and differs from it
@@ -608,7 +656,10 @@ def volume(P: Polytope) -> Fraction:
         corners = [P.rows[i] for i in simplex]
         d = prod(r[-1] for r in corners)
         sums[d] = sums.get(d, 0) + abs(int_det([r[:end] for r in corners]))
-    return scale * sum((Fraction(n, d) for d, n in sums.items()), ZERO) / factorial(P.dim)
+    terms = [Fraction(n, d) for d, n in sums.items()]
+    while len(terms) > 1:  # an odd one out moves up a level as it is
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+    return scale * terms[0] / factorial(P.dim)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

@@ -22,6 +22,7 @@ from sympolar.geometry import (
     _mirrored,
     _move,
     _polar,
+    _row_key,
     convex_hull,  # noqa: F401 - perfbench's tracer test wraps symplectic.convex_hull
 )
 from sympolar.linalg import Vec, as_vec, dehomogenize, homogeneous
@@ -162,7 +163,7 @@ def expand_step(K: Polytope, S: Sequence[Sequence]) -> Polytope:
     failure raises ExpansionError with a violating vertex pair of the grown
     body as witness.
     """
-    rows = list(dict.fromkeys(homogeneous(p) for p in sorted(as_vec(p) for p in S)))
+    rows = sorted(dict.fromkeys(homogeneous(as_vec(p)) for p in S), key=_row_key)
     if not _mirrored(rows):
         raise ExpansionError("expansion set is not centrally symmetric")
     polar_rows = set(_sympolar_rows(K))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import random
 from fractions import Fraction
 
@@ -61,6 +62,31 @@ def test_parameter_validation():
         random_selfpolar(3, 4, seed=1)
     with pytest.raises(ValueError):
         random_selfpolar(2, 4, seed=1, max_iter=0)
+
+
+@pytest.mark.parametrize(
+    "seed, digest, vertex_count, iterations",
+    [
+        (45, "f9ea761eff4d8cfb", 60, 5),
+        (8, "f180e83b24880d5e", 58, 5),
+        (6, "541202c9665f8914", 62, 5),
+    ],
+)
+def test_dim4_runs_match_pinned_results(seed, digest, vertex_count, iterations):
+    """Three dim-4 runs pinned in the benchmark panel; a change to any
+    greedy choice or to the hull moves them.  The volumes run to thousands
+    of digits, so a hash of ``str(volume)`` is pinned."""
+    rec = random_selfpolar(4, 10, seed)
+    assert hashlib.sha256(str(rec.volume).encode()).hexdigest()[:16] == digest
+    assert (rec.vertex_count, rec.iterations, rec.self_polar) == (vertex_count, iterations, True)
+
+
+@pytest.mark.parametrize("dim, k, max_iter", [(4, 2, 64), (3, 4, 64), (2, 4, 0)])
+def test_batch_checks_parameters_before_any_run(tmp_path, dim, k, max_iter):
+    csv_path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        batch_generate(dim, k, runs=2, base_seed=0, max_iter=max_iter, csv_path=csv_path)
+    assert not csv_path.exists()
 
 
 def test_batch_csv_and_svg(tmp_path):

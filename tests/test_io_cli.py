@@ -215,6 +215,15 @@ def test_cli_generate_single_run_names_no_svg(tmp_path, capsys):
     assert "svg" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [["--k", "2"], ["--k", "4", "--max-iter", "0"]])
+def test_cli_generate_bad_parameters_exit_5(tmp_path, capsys, extra):
+    # checked once before the batch: no per-run traceback and no CSV
+    assert _call(tmp_path, "generate", "--dim", "4", "--runs", "2", *extra) == 5
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_sequences(tmp_path, capsys):
     assert _call(tmp_path, "sequences", "--kind", "viterbo", "--n", "2") == 0
     assert "28/25" in capsys.readouterr().out

@@ -9,7 +9,7 @@ facet lists, independently of the homogeneous integer rows the kernel uses.
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -20,6 +20,8 @@ from sympolar.geometry import (
     _antipode,
     _check_consistency,
     _incidence,
+    _polytope,
+    _row_key,
     apply_linear,
     convex_hull,
     f_vector,
@@ -256,16 +258,38 @@ def test_consistency_rejects_unspanned_facet(square):
         _check_consistency(2, square.rows, square.facet_rows + (corner,))
 
 
+def test_paired_consistency_names_the_violating_point(square, generated):
+    """A symmetric point set is checked with one product per antipodal pair;
+    a point outside a facet row is named whether it comes first in its pair
+    or after its antipode, with the origin among the points or not."""
+    for P in (square, generated):
+        f = P.facet_rows[0]
+        v = P.rows[next(bits(P.incidence[0]))]
+        q = tuple(2 * c for c in v[:-1]) + v[-1:]  # 2v: outside f, its antipode inside
+        origin = (0,) * P.dim + (1,)
+        for pair in ([q, _antipode(q)], [_antipode(q), q]):
+            for rows in (pair + list(P.rows), list(P.rows) + [origin] + pair):
+                with pytest.raises(GeometryError, match="violates") as info:
+                    _check_consistency(P.dim, rows, [f])
+                assert str(dehomogenize(q)) in str(info.value)
+        # <a, x> <= -b: the origin, first in the rows, is outside
+        with pytest.raises(GeometryError, match="violates") as info:
+            _check_consistency(P.dim, [origin] + list(P.rows), [f[:-1] + (-f[-1],)])
+        assert str(dehomogenize(origin)) in str(info.value)
+
+
 def symmetric_point_sets(p3, generated):
-    """Symmetric inputs: P_3's vertices, a table1 body's, and the generated
-    body's vertices with the origin and a symmetric pair of interior points."""
+    """Symmetric inputs: P_3's vertices, a table1 body's, the generated
+    body's vertices with the origin and a symmetric pair of interior points,
+    and random symmetric bodies' vertices in dims 2, 4 and 6."""
     table1 = enumerate_pm1(4, budget=25).classes[0].representative
     inner = tuple(c / 2 for c in generated.vertices[0])
+    rng = random.Random(29)
     return [
         list(p3.vertices),
         list(table1.vertices),
         list(generated.vertices) + [inner, vneg(inner), (0,) * generated.dim],
-    ]
+    ] + [list(random_symmetric_polytope(rng, dim, dim + 2).vertices) for dim in (2, 4, 6)]
 
 
 def test_hull_independent_of_point_order(p3, generated):
@@ -296,6 +320,49 @@ def test_consistency_mirror_matches_full_incidence(p3, generated):
         assert any(tuple(-c for c in f[:-1]) + f[-1:] in P.facet_rows for f in P.facet_rows)
         rows = [homogeneous(p) for p in points]
         assert _check_consistency(P.dim, rows, P.facet_rows) == _incidence(rows, P.facet_rows)
+
+
+# --- the row order -------------------------------------------------------------
+
+
+def test_row_order_is_the_point_order():
+    """Rows sort as their points sort: rows with one denominator as tuples,
+    others coordinate by coordinate, where equal leading coordinates with
+    different denominators are common on this grid."""
+    rng = random.Random(61)
+    for denominators in ((1,), (3,), (1, 2, 3, 4, 6)):
+        def coordinate():
+            return F(rng.randint(-4, 4), rng.choice(denominators))
+
+        points = {(coordinate(), coordinate(), coordinate()) for _ in range(80)}
+        rows = [homogeneous(p) for p in points]
+        assert [dehomogenize(r) for r in sorted(rows, key=_row_key)] == sorted(points)
+    assert len({r[-1] for r in rows}) > 1
+
+
+def test_polytope_order_matches_common_denominator_key(generated):
+    """``_polytope`` sorts and renumbers as the key that scales every row to
+    the lcm of the kept rows' denominators did, on a shuffled vertex list and
+    on a subset of it."""
+    rng = random.Random(7)
+    skew = [[1, F(1, 3), 0, 0], [0, 1, 0, 0], [F(-1, 2), 0, 2, 0], [0, 0, F(1, 5), -1]]
+    for P in BODIES[9:15] + [generated, apply_linear(skew, generated)]:
+        order = list(range(len(P.rows)))
+        rng.shuffle(order)
+        rows = [P.rows[i] for i in order]
+        incidence = [
+            sum(1 << j for j, i in enumerate(order) if mask >> i & 1) for mask in P.incidence
+        ]
+        for keep in (range(len(rows)), range(0, len(rows), 2)):
+            common = lcm(*(rows[i][-1] for i in keep))
+            scaled = {i: [c * (common // rows[i][-1]) for c in rows[i][:-1]] for i in keep}
+            expected = sorted(keep, key=scaled.get)
+            position = {i: j for j, i in enumerate(expected)}
+            Q = _polytope(P.dim, rows, P.facet_rows, incidence, keep)
+            assert Q.rows == tuple(rows[i] for i in expected)
+            assert Q.incidence == tuple(
+                sum(1 << position[i] for i in bits(mask) if i in position) for mask in incidence
+            )
 
 
 # --- the adjugate -------------------------------------------------------------
