@@ -24,7 +24,11 @@ facet rows are the cone's extreme rays and its incidence their tight sets.
 Growing it by a few points (``_grow_hull``) therefore starts from that pair
 and inserts only the new points' constraints; the cold start in
 ``vertex_enumeration`` and this warm start share one crossing step
-(``_crossings``), with its adjacency test.
+(``_crossings``), with its adjacency test.  Two rays are adjacent when no
+third ray is tight on all their common constraints (Fukuda & Prodon,
+1996); the test counts exactly the rays that are, with a few big-integer
+operations per pair over the complemented tight masks packed into blocks
+of about 2048 bits (``_packed``), in place of a scan over every ray.
 
 Every body of the paper is centrally symmetric, and the kernel uses that
 four times.  The cold start of a symmetric point set inserts each point's
@@ -210,6 +214,28 @@ def _halfspace_rows(halfspaces: Sequence[tuple[Vec, Fraction]]) -> list[Row]:
     )
 
 
+def _packed(masks: list[int]) -> tuple[list[tuple[int, int]], int, int, int]:
+    """The complemented ``masks`` packed into blocks of about 2048 bits, as
+    (block, number of fields), with the block-wide constants ``ones``,
+    ``fill`` and ``tops`` of ``_crossings``.  Each mask takes a field of
+    width = max(masks).bit_length() + 1 bits, whose top bit, the guard,
+    stays clear.  Blocks, not one integer over all the rays, let the count
+    stop at the first block where it passes 2."""
+    width = max(masks).bit_length() + 1
+    low = (1 << width - 1) - 1  # the value bits of a field
+    per = max(1, 2048 // width)  # fields per block
+    blocks = []
+    for start in range(0, len(masks), per):
+        chunk = masks[start : start + per]
+        block = 0
+        for z in reversed(chunk):
+            block = block << width | z ^ low
+        blocks.append((block, len(chunk)))
+    size = min(per, len(masks))
+    ones = ((1 << width * size) - 1) // ((1 << width) - 1)  # bit 0 of each field
+    return blocks, ones, low * ones, ones << width - 1
+
+
 def _crossings(
     rays: list[Row], masks: list[int], vals: list[int], plus: list[int], minus: list[int],
     bit: int, dim: int,
@@ -217,21 +243,40 @@ def _crossings(
     """The new extreme rays on the hyperplane of one constraint, which takes
     the values ``vals`` on ``rays``: one primitive combination per adjacent
     pair of a ray in ``plus`` and one in ``minus``, with the pair's common
-    tight mask and the constraint's ``bit``."""
+    tight mask and the constraint's ``bit``.
+
+    Rays p and m are adjacent when no third ray is tight on all of their
+    common constraints zpn, that is, when exactly two rays (p and m) are.
+    The count is made on the packed complements c of the masks
+    (``_packed``): a ray is tight on zpn exactly when c & zpn is 0, and
+    adding 2^(width-1) - 1 (``fill``) to a field below 2^(width-1) sets its
+    guard bit exactly when the field is nonzero and carries into no other
+    field, so a block of ``size`` fields holds
+    size - popcount(((block & zpn * ones) + fill) & tops) tight rays.  The
+    fields past a short last block are 0 and set no guard.  The count stops
+    once it passes 2, and the blocks are built on the first pair that passes
+    the popcount filter."""
     fresh: list[Row] = []
     fresh_masks: list[int] = []
+    blocks = None
     for p in plus:
         zp = masks[p]
         for m in minus:
             zpn = zp & masks[m]
             if zpn.bit_count() < dim - 1:
                 continue
-            # adjacent unless a third ray is tight on all of their constraints
-            if any((zk & zpn) == zpn for k, zk in enumerate(masks) if k != p and k != m):
-                continue
-            combo = primitive([vals[p] * rm - vals[m] * rp for rp, rm in zip(rays[p], rays[m])])
-            fresh.append(combo)
-            fresh_masks.append(zpn | bit)
+            if blocks is None:
+                blocks, ones, fill, tops = _packed(masks)
+            spread = zpn * ones
+            tight = 0
+            for block, size in blocks:
+                tight += size - (((block & spread) + fill) & tops).bit_count()
+                if tight > 2:
+                    break
+            else:
+                combo = primitive([vals[p] * rm - vals[m] * rp for rp, rm in zip(rays[p], rays[m])])
+                fresh.append(combo)
+                fresh_masks.append(zpn | bit)
     return fresh, fresh_masks
 
 
@@ -672,12 +717,13 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _facets_of(P: Polytope, face: int) -> list[int]:
-    """The facets of a face of P of dimension >= 1, as vertex bitmasks.
+def _facets_of(P: Polytope, face: int, k: int) -> list[int]:
+    """The facets of a k-dimensional face of P, k >= 1, as vertex bitmasks.
     Every face is the intersection of the facets containing it, so these
     are the inclusion-maximal intersections of ``face`` with the facets of P
-    that do not contain it."""
-    return _maximal(h for g in P.incidence if (h := face & g) != face)
+    that do not contain it.  A (k-1)-face has at least k vertices, so
+    smaller intersections are never maximal and are left out first."""
+    return _maximal(h for g in P.incidence if (h := face & g) != face and h.bit_count() >= k)
 
 
 def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
@@ -689,7 +735,7 @@ def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
     """
     levels = {P.dim - 1: set(P.incidence)}
     for k in range(P.dim - 1, 1, -1):
-        levels[k - 1] = {h for face in levels[k] for h in _facets_of(P, face)}
+        levels[k - 1] = {h for face in levels[k] for h in _facets_of(P, face, k)}
     return {
         k: sorted((frozenset(bits(mask)) for mask in level), key=sorted)
         for k, level in levels.items()
@@ -717,7 +763,7 @@ def _pulling_triangulation(
             apex = low.bit_length() - 1
             memo[face] = [
                 (apex,) + s
-                for child in _facets_of(P, face)
+                for child in _facets_of(P, face, k)
                 if not child & low
                 for s in _pulling_triangulation(P, child, k - 1, memo)
             ]

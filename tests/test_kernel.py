@@ -6,6 +6,7 @@ witness with nothing but ``Fraction`` arithmetic on the public vertex and
 facet lists, independently of the homogeneous integer rows the kernel uses.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -19,7 +20,9 @@ from sympolar.geometry import (
     GeometryError,
     _antipode,
     _check_consistency,
+    _crossings,
     _incidence,
+    _packed,
     _polytope,
     _row_key,
     apply_linear,
@@ -29,7 +32,16 @@ from sympolar.geometry import (
     volume,
 )
 from sympolar.io import read_polytope, write_polytope
-from sympolar.linalg import bits, dehomogenize, homogeneous, int_adjugate, int_det, invert, vneg
+from sympolar.linalg import (
+    bits,
+    dehomogenize,
+    homogeneous,
+    int_adjugate,
+    int_det,
+    invert,
+    primitive,
+    vneg,
+)
 from sympolar.suspension import power_suspend, suspend_halfspaces
 from sympolar.symplectic import check_subset_sympolar, expand_step, symplectic_polar
 
@@ -363,6 +375,103 @@ def test_polytope_order_matches_common_denominator_key(generated):
             assert Q.incidence == tuple(
                 sum(1 << position[i] for i in bits(mask) if i in position) for mask in incidence
             )
+
+
+# --- the double description's adjacency test ------------------------------------
+
+
+def ref_crossings(rays, masks, vals, plus, minus, bit, dim):
+    """``_crossings`` with the adjacency test as a linear scan of every other
+    ray's tight mask."""
+    fresh, fresh_masks = [], []
+    for p in plus:
+        for m in minus:
+            zpn = masks[p] & masks[m]
+            if zpn.bit_count() < dim - 1:
+                continue
+            if any(zk & zpn == zpn for k, zk in enumerate(masks) if k != p and k != m):
+                continue
+            rp, rm = rays[p], rays[m]
+            fresh.append(primitive([vals[p] * b - vals[m] * a for a, b in zip(rp, rm)]))
+            fresh_masks.append(zpn | bit)
+    return fresh, fresh_masks
+
+
+def random_crossing_input(rng, dim, count, width):
+    """``count`` rays of R^(dim+1) with tight masks on ``width`` constraints:
+    dense random masks, empty ones, and copies of earlier masks with one bit
+    cleared, which are tight on all but one constraint of a pair's common
+    mask.  The top constraint is tight on at least one ray."""
+    density = rng.choice((0.5, 0.75, 0.9))
+    masks = []
+    for _ in range(count):
+        draw = rng.random()
+        if draw < 0.1:
+            masks.append(0)
+        elif draw < 0.4 and masks:
+            masks.append(rng.choice(masks) & ~(1 << rng.randrange(width)))
+        else:
+            masks.append(sum(1 << b for b in range(width) if rng.random() < density))
+    masks[rng.randrange(count)] |= 1 << width - 1
+    rays = [tuple(rng.randint(-5, 5) for _ in range(dim + 1)) for _ in range(count)]
+    vals = [rng.choice((-3, -1, 0, 1, 2)) for _ in range(count)]
+    plus = [i for i, v in enumerate(vals) if v > 0]
+    minus = [i for i, v in enumerate(vals) if v < 0]
+    return rays, masks, vals, plus, minus, 1 << width, dim
+
+
+def test_packed_adjacency_matches_linear_scan():
+    """The packed count returns the fresh rays and masks of the scan, in its
+    order: in dims 2-8, on one block and on several with a short last one,
+    with masks that use a field's top value bit, and with empty masks (all
+    of them empty too, where dim 1 lets every pair past the popcount)."""
+    rng = random.Random(2)
+    blocks = set()
+    adjacent = rejected = 0
+    for dim in range(2, 9):
+        for count, width in ((3, 5), (12, 2 * dim), (30, 40), (90, 40), (120, 3 * dim + 50)):
+            for _ in range(3):
+                rays, masks, vals, plus, minus, bit, _ = args = random_crossing_input(
+                    rng, dim, count, width
+                )
+                expected = ref_crossings(*args)
+                assert _crossings(*args) == expected
+                packed = _packed(masks)[0]
+                blocks.add((len(packed), packed[-1][1] < packed[0][1]))
+                candidates = sum(
+                    (masks[p] & masks[m]).bit_count() >= dim - 1 for p in plus for m in minus
+                )
+                adjacent += len(expected[0])
+                rejected += candidates - len(expected[0])
+    assert (1, False) in blocks and any(n > 2 and short for n, short in blocks)
+    assert adjacent > 100 and rejected > 100
+    for dim in range(1, 9):
+        for count in (2, 20):
+            rays, _, vals, _, _, bit, _ = random_crossing_input(rng, dim, count, 10)
+            vals[:2] = [1, -1]
+            plus = [i for i, v in enumerate(vals) if v > 0]
+            minus = [i for i, v in enumerate(vals) if v < 0]
+            args = (rays, [0] * count, vals, plus, minus, bit, dim)
+            assert _crossings(*args) == ref_crossings(*args)
+
+
+def hull_digest(P):
+    return hashlib.sha256(repr((P.rows, P.facet_rows, P.incidence)).encode()).hexdigest()
+
+
+def test_hull_order_is_pinned():
+    """Vertex rows, facet rows in order and incidence, pinned: P_4 (cold
+    start), a dim-6 symmetric hull whose crossings span up to 9 blocks, and
+    a dim-6 generated body (warm start)."""
+    assert hull_digest(power_suspend(4)) == (
+        "a6a7ac66ac51da82641c98c1c8881d1a336298bf47e5d14906a347925b8c6fec"
+    )
+    assert hull_digest(random_symmetric_polytope(random.Random(1), 6, 14)) == (
+        "bc3be6cd42236c2c7fbd6e9170adbb86efb0ac8994b7a2f71970062caad84251"
+    )
+    assert hull_digest(random_selfpolar(6, 8, 1, max_iter=2).final) == (
+        "4707a29f86418a080f371d7e862a9ab32b8b53bd43cff542e0d669188969f40c"
+    )
 
 
 # --- the adjugate -------------------------------------------------------------
