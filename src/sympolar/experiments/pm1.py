@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 
 from sympolar.geometry import Polytope, convex_hull, volume
-from sympolar.linalg import Vec, bits, homogeneous, vneg
+from sympolar.linalg import bits, vneg
 from sympolar.symplectic import is_self_polar, omega_rows
 
 log = logging.getLogger(__name__)
@@ -40,24 +40,18 @@ class Pm1Result:
     complete: bool
 
 
-def sign_vector_pairs(dim: int) -> list[Vec]:
+def sign_vector_pairs(dim: int) -> list[tuple[int, ...]]:
     """One representative (first nonzero coordinate positive) per antipodal
-    pair of {-1,0,1}^dim minus the origin, sorted lexicographically."""
-    reps = []
-    for coords in product((-1, 0, 1), repeat=dim):
-        if all(c == 0 for c in coords):
-            continue
-        vec = tuple(Fraction(c) for c in coords)
-        if vec > vneg(vec):
-            reps.append(vec)
-    return sorted(reps)
+    pair of {-1,0,1}^dim minus the origin, sorted lexicographically, as
+    ``int`` tuples."""
+    return sorted(v for v in product((-1, 0, 1), repeat=dim) if v > vneg(v))
 
 
-def compatibility_adjacency(reps: list[Vec]) -> list[int]:
+def compatibility_adjacency(reps: list[tuple[int, ...]]) -> list[int]:
     """Bitmask adjacency; the edge relation |omega(v, w)| <= 1 is well
     defined on antipodal pairs.  Sign vectors are integer, so their
     homogeneous rows are (v, 1) and omega is read off them directly."""
-    rows = [homogeneous(r) for r in reps]
+    rows = [r + (1,) for r in reps]
     n = len(rows)
     adj = [0] * n
     for i in range(n):
@@ -99,7 +93,7 @@ def maximal_cliques(adj: list[int], budget: int | None = None):
     yield from expand(0, (1 << n) - 1, 0)
 
 
-def _clique_polytope(reps: list[Vec], clique: int) -> Polytope:
+def _clique_polytope(reps: list[tuple[int, ...]], clique: int) -> Polytope:
     return convex_hull([p for i in bits(clique) for p in (reps[i], vneg(reps[i]))])
 
 
@@ -107,8 +101,9 @@ def enumerate_pm1(dim: int, budget: int | None = None) -> Pm1Result:
     """Classify the symplectically self-polar -1/0/1 polytopes of the given
     dimension by (vertex count, exact volume).
 
-    Dimension 6 needs an explicit clique budget and is marked partial when
-    it is hit; dimensions 2 and 4 enumerate completely.
+    Dimension 6 needs an explicit clique budget.  With a budget, at most
+    that many cliques are processed, and the result is marked partial
+    exactly when more maximal cliques remain.
     """
     if dim not in (2, 4, 6):
         raise ValueError(f"enumeration supports dimensions 2, 4, 6; got {dim}")
@@ -120,7 +115,13 @@ def enumerate_pm1(dim: int, budget: int | None = None) -> Pm1Result:
     classes: dict[tuple[int, Fraction], list] = {}
     cliques_seen = 0
     rejected = 0
-    for clique in maximal_cliques(adj, budget):
+    complete = True
+    # one clique past the budget, drawn and not processed, tells whether
+    # the enumeration ran out
+    for clique in maximal_cliques(adj, None if budget is None else budget + 1):
+        if cliques_seen == budget:
+            complete = False
+            break
         cliques_seen += 1
         poly = _clique_polytope(reps, clique)
         if not is_self_polar(poly):
@@ -133,7 +134,6 @@ def enumerate_pm1(dim: int, budget: int | None = None) -> Pm1Result:
         else:
             entry[0] += 1
 
-    complete = budget is None or cliques_seen < budget
     ordered = tuple(
         CliqueClass(vcount, vol, count, rep)
         for (vcount, vol), (count, rep) in sorted(classes.items(), key=lambda kv: (kv[0][1], kv[0][0]))

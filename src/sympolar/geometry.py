@@ -431,7 +431,10 @@ def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row])
     on both points (``_tight_pairs``).  And the mirror (-a, -b) of a facet
     row is checked with it: (-a, -b) . r = (a, -b) . r' for the antipode r'
     of r, so its tight set is the antipodes of the other's, whose rows
-    differ by diag(-1, ..., -1, 1) and so have equal rank."""
+    differ by diag(-1, ..., -1, 1) and so have equal rank.
+
+    A facet with exactly dim points on it has its rank certified by one
+    dim x dim determinant; one with more keeps the elimination."""
     index = {r: i for i, r in enumerate(rows)}
     anti = [index.get(_antipode(r)) for r in rows]
     symmetric = None not in anti
@@ -442,7 +445,15 @@ def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row])
         if incidence[j] is not None:
             continue
         mask = incidence[j] = _tight_pairs(f, rows, pairs) if symmetric else _tight(f, rows)
-        if len(independent_rows([rows[i] for i in bits(mask)], dim)) < dim:
+        tight = [rows[i] for i in bits(mask)]
+        if len(tight) == dim:
+            # the rows lie in f's orthogonal complement, on which dropping a
+            # column c with f[c] != 0 is injective: rank dim iff det != 0
+            c = next(k for k in range(dim, -1, -1) if f[k])
+            spanned = int_det([r[:c] + r[c + 1 :] for r in tight]) != 0
+        else:
+            spanned = len(independent_rows(tight, dim)) == dim
+        if not spanned:
             raise GeometryError(
                 f"facet row {f} is not supported by a (dim-1)-dimensional vertex set"
             )
@@ -466,6 +477,14 @@ def _row_cmp(x: Row, y: Row) -> int:
 
 
 _row_key = cmp_to_key(_row_cmp)
+
+
+def _point_row(point: Sequence) -> Row:
+    """The homogeneous row of a point given as ints, ``Fraction``s or both."""
+    p = tuple(point)
+    if all(type(c) is int for c in p):
+        return p + (1,)
+    return homogeneous(as_vec(p))
 
 
 def _polytope(dim: int, rows, facet_rows, incidence, keep) -> Polytope:
@@ -495,8 +514,9 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     {u : <q, u> <= 1}, whose vertices u are the facets <u, x - c> <= 1 of P.
     c is the origin for a symmetric point set and otherwise the centroid of
     dim+1 affinely independent points, whose denominator stays small.
+    An integer point p has the row (p, 1), made with no ``Fraction``.
     """
-    rows = list(dict.fromkeys(homogeneous(as_vec(p)) for p in points))
+    rows = list(dict.fromkeys(map(_point_row, points)))
     if not rows:
         raise GeometryError("no points given")
     dim = len(rows[0]) - 1

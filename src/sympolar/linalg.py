@@ -8,9 +8,9 @@ Inside the kernel, points and hyperplanes are exact integer homogeneous
 rows.  A rational point ``v`` becomes the primitive row ``(V, d)`` with
 ``v = V/d`` and ``d > 0`` (``homogeneous``), a halfspace ``<a, x> <= b``
 the primitive row ``(a, -b)``; incidence is then the sign of ``int_dot``,
-ranks come from fraction-free elimination (``independent_rows``) and
-determinants and adjugates from Bareiss elimination (``int_det``,
-``int_adjugate``).
+ranks come from fraction-free elimination (``independent_rows``),
+adjugates from Bareiss elimination (``int_adjugate``) and determinants
+(``int_det``) from closed forms up to 4 x 4 and Bareiss elimination above.
 """
 
 from __future__ import annotations
@@ -162,10 +162,31 @@ def independent_rows(rows: Sequence[Sequence[int]], stop: int | None = None) -> 
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
+    """Determinant of an integer matrix: a closed form up to 4 x 4, Bareiss
+    fraction-free elimination above.  The 4 x 4 form is the Laplace
+    expansion along rows 0 and 1: each 2 x 2 minor of those rows times the
+    complementary minor of rows 2 and 3."""
     n = len(matrix)
     if n == 0:
         return 1
+    if n == 1:
+        return matrix[0][0]
+    if n == 2:
+        (a, b), (c, d) = matrix
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = matrix
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+        )
     work = [list(row) for row in matrix]
     sign = 1
     prev = 1

@@ -9,13 +9,14 @@ facet lists, independently of the homogeneous integer rows the kernel uses.
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, lcm
 
 import pytest
 
 from sympolar.capacity import _pair_rep, generator_base
 from sympolar.experiments import enumerate_pm1, random_selfpolar
+from sympolar.experiments.pm1 import compatibility_adjacency, maximal_cliques, sign_vector_pairs
 from sympolar.geometry import (
     GeometryError,
     _antipode,
@@ -38,6 +39,7 @@ from sympolar.linalg import (
     homogeneous,
     int_adjugate,
     int_det,
+    int_dot,
     invert,
     primitive,
     vneg,
@@ -263,11 +265,21 @@ def test_consistency_rejects_facet_shifted_inward(square):
         _check_consistency(2, square.rows, rows)
 
 
-def test_consistency_rejects_unspanned_facet(square):
+def test_consistency_rejects_unspanned_facet(square, hexa):
     corner = (1, 1, -2)  # x + y <= 2 touches the square at (1, 1) only
     assert _check_consistency(2, square.rows, square.facet_rows)
     with pytest.raises(GeometryError, match="not supported"):
         _check_consistency(2, square.rows, square.facet_rows + (corner,))
+    # x1 + x2 <= 2 meets the cube [-1, 1]^4 in a square 2-face: dim points
+    # of rank 3, the determinant test; x3 + x4 <= 2 meets hexagon x square
+    # in a hexagon: 6 points of rank 3, the elimination
+    cube = convex_hull(list(product((-1, 1), repeat=4)))
+    prism = convex_hull([h + q for h in hexa.vertices for q in square.vertices])
+    for P, row, on in ((cube, (1, 1, 0, 0, -2), 4), (prism, (0, 0, 1, 1, -2), 6)):
+        assert _check_consistency(P.dim, P.rows, P.facet_rows)
+        assert sum(int_dot(row, r) == 0 for r in P.rows) == on
+        with pytest.raises(GeometryError, match="not supported"):
+            _check_consistency(P.dim, P.rows, P.facet_rows + (row,))
 
 
 def test_paired_consistency_names_the_violating_point(square, generated):
@@ -314,6 +326,23 @@ def test_hull_independent_of_point_order(p3, generated):
         assert Q == P
         assert Q.facets == P.facets
         assert Q.facet_vertex_sets() == P.facet_vertex_sets()
+
+
+def test_integer_points_give_the_fraction_hull(hexa):
+    """``int`` points take their rows with no ``Fraction``; the hull is the
+    one of the same points as ``Fraction``s, in rows, facet row order and
+    incidence."""
+    reps = sign_vector_pairs(4)
+    cliques = list(maximal_cliques(compatibility_adjacency(reps)))[::50]
+    point_sets = [[tuple(int(c) for c in v) for v in hexa.vertices]] + [
+        [p for i in bits(clique) for p in (reps[i], vneg(reps[i]))] for clique in cliques
+    ]
+    assert len(point_sets) == 9
+    for points in point_sets:
+        assert all(type(c) is int for p in points for c in p)
+        P = convex_hull(points)
+        Q = convex_hull([tuple(F(c) for c in p) for p in points])
+        assert (P.rows, P.facet_rows, P.incidence) == (Q.rows, Q.facet_rows, Q.incidence)
 
 
 def test_consistency_mirror_matches_full_incidence(p3, generated):
@@ -494,6 +523,24 @@ def test_int_adjugate_matches_fraction_inverse():
         inverse = invert([[Fraction(c) for c in row] for row in A])
         assert adj == [[det * c for c in row] for row in inverse]
     assert singular > 20
+    # entries of about 300 bits, as in generated bodies; the closed forms up
+    # to 4 x 4 against the Bareiss elimination of the adjugate
+    big = 1 << 300
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        A = [[rng.randint(-big, big) for _ in range(n)] for _ in range(n)]
+        det, adj = int_adjugate(A)
+        assert det == int_det(A) != 0
+        inverse = invert([[Fraction(c) for c in row] for row in A])
+        assert adj == [[det * c for c in row] for row in inverse]
+    # singular 2 x 2 to 4 x 4: one row a combination of the others
+    for n in (2, 3, 4):
+        for _ in range(30):
+            A = [[rng.randint(-big, big) for _ in range(n)] for _ in range(n - 1)]
+            coefs = [rng.randint(-(1 << 20), 1 << 20) for _ in range(n - 1)]
+            A.insert(rng.randrange(n), [sum(c * row[k] for c, row in zip(coefs, A)) for k in range(n)])
+            assert int_det(A) == 0
+            assert int_adjugate(A) == (0, None)
 
 
 # --- the Fraction views of the integer rows -----------------------------------

@@ -106,6 +106,15 @@ def test_dim4_partial_budget():
         assert is_self_polar(cls.representative)
 
 
+def test_budget_partial_exactly_when_cliques_remain():
+    # dim 2 has exactly 2 maximal cliques
+    seen = {}
+    for budget in (1, 2, 3):
+        result = enumerate_pm1(2, budget=budget)
+        seen[budget] = (result.cliques_seen, result.complete)
+    assert seen == {1: (1, False), 2: (2, True), 3: (2, True)}
+
+
 def test_dim6_requires_budget():
     with pytest.raises(ValueError):
         enumerate_pm1(6)
