@@ -26,14 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul, sub
 from typing import Sequence
 
 from sympolar.geometry import Polytope
 from sympolar.linalg import Vec, dot, fraction_vec_to_int, homogeneous, int_adjugate, vneg
 from sympolar.suspension import PIVOT, induction_certificate
-from sympolar.symplectic import is_self_polar, omega
+from sympolar.symplectic import is_self_polar, omega, omega_rows
 
 log = logging.getLogger(__name__)
 
@@ -368,6 +368,16 @@ def _search(supports, W, max_configs=DEFAULT_MAX_CONFIGS):
     return best, (solved, pruned, skipped)
 
 
+def _omega_matrix(base: Sequence[Vec]) -> tuple[list[list[int]], int]:
+    """The omega-matrix W of the generators ``base`` as W_int = w_scale W,
+    with w_scale the lcm of W's denominators: on the generators' rows
+    (V_a, d_a), W_ab = o / d with o = omega(V_a, V_b) and d = d_a d_b."""
+    rows = [homogeneous(g) for g in base]
+    W = [[(omega_rows(a, b), a[-1] * b[-1]) for b in rows] for a in rows]
+    w_scale = lcm(*(d // gcd(o, d) for row in W for o, d in row))
+    return [[o * w_scale // d for o, d in row] for row in W], w_scale
+
+
 def ehz_brute_force(
     P: Polytope,
     support_bound: int | None = None,
@@ -419,14 +429,12 @@ def ehz_brute_force(
         raise CapacityError("support bound must be at least 2")
     bound = min(bound, m)
 
-    W = [[omega(a, b) for b in base] for a in base]
     # the normalization weights every coefficient by 1: plain coefficient
     # mass in vertices mode, and in normals mode the support value of each
     # generator, which is 1 because a symmetric body's facets are stored at
     # offset 1.  With W = W_int / w_scale, a configuration's value det/(2Q)
     # comes back as det / (2 w_scale Q)
-    w_scale = lcm(*(c.denominator for row in W for c in row))
-    W_int = [[int(c * w_scale) for c in row] for row in W]
+    W_int, w_scale = _omega_matrix(base)
     supports = (s for k in range(2, bound + 1) for s in combinations(range(m), k))
     best, (solved, pruned, skipped) = _search(supports, W_int, max_configs)
     log.info(

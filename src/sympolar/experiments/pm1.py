@@ -101,14 +101,16 @@ def enumerate_pm1(dim: int, budget: int | None = None) -> Pm1Result:
     """Classify the symplectically self-polar -1/0/1 polytopes of the given
     dimension by (vertex count, exact volume).
 
-    Dimension 6 needs an explicit clique budget.  With a budget, at most
-    that many cliques are processed, and the result is marked partial
-    exactly when more maximal cliques remain.
+    Dimension 6 needs an explicit clique budget; a budget is at least 0.
+    With a budget, at most that many cliques are processed, and the result
+    is marked partial exactly when more maximal cliques remain.
     """
     if dim not in (2, 4, 6):
         raise ValueError(f"enumeration supports dimensions 2, 4, 6; got {dim}")
     if dim == 6 and budget is None:
         raise ValueError("dimension 6 enumeration requires an explicit budget")
+    if budget is not None and budget < 0:
+        raise ValueError(f"clique budget must be at least 0; got {budget}")
     reps = sign_vector_pairs(dim)
     adj = compatibility_adjacency(reps)
 

@@ -13,7 +13,8 @@ use.  A vertex is on a facet when the integer dot product of their rows is
 0 and inside it when it is <= 0.  The incidence is computed once per hull,
 by the exact consistency check, and reused by the polar and by
 ``_facets_of``, which reads the faces off it with no rank test for the face
-lattice, the volume and ``from_halfspaces``.
+lattice, the volume and ``from_halfspaces``; the volume's triangulation
+looks for a face's facets only among its parent face's.
 
 Facet enumeration uses incremental insertion of halfspaces in the
 double-description style on the homogenization cone, which is robust under
@@ -33,17 +34,19 @@ of about 2048 bits (``_packed``), in place of a scan over every ray.
 Every body of the paper is centrally symmetric, and the kernel uses that
 four times.  The cold start of a symmetric point set inserts each point's
 constraint right after its antipode's, which keeps the intermediate cones
-of the degenerate suspensions small.  The warm start keeps the symmetric
-polar cone's rays in mirror pairs and cuts it by each new antipodal pair
-of points at once, as one slab whose second half is the mirror of the
-first; it reads the pairs off the sorted rows, as negation reverses the
-order of points (``_mirrored``).  The mirror facet (-a, -b) of a facet row
-(a, -b) satisfies (-a, -b) . (V, d) = (a, -b) . (-V, d), so the
-consistency check tests each such pair of facets once and maps the tight
-set through the antipode permutation; it evaluates a facet row on an
-antipodal pair of points (V, d), (-V, d) with one product <a, V>.  And the
-volume of a symmetric body is twice that of the cones from the origin over
-one facet of each mirror pair.
+of the degenerate suspensions small; its shifted rows and facet rows are
+the point rows and rays with the last entry negated (``_flip``), already
+primitive.  The warm start keeps the symmetric polar cone's rays in mirror
+pairs and cuts it by each new antipodal pair of points at once, as one
+slab whose second half is the mirror of the first.  The hull sorts its
+rows once, and negation reverses the order of points, so row N-1-i is the
+antipode of row i (``_mirrored``): the warm start reads its pairs off
+them, and the consistency check evaluates a facet row on an antipodal pair
+(V, d), (-V, d) with one product <a, V>.  The mirror facet (-a, -b) of a
+facet row (a, -b) satisfies (-a, -b) . (V, d) = (a, -b) . (-V, d), so the
+check tests each such pair of facets once and maps the tight set through
+the antipodes.  And the volume of a symmetric body is twice that of the
+cones from the origin over one facet of each mirror pair.
 
 Vertices sort as their points sort; rows are compared without
 ``Fraction``s or a common denominator (``_row_cmp``).
@@ -55,6 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import factorial, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from sympolar.linalg import (
@@ -128,6 +132,12 @@ def _antipode(row: Row) -> Row:
     return tuple(-c for c in row[:-1]) + row[-1:]
 
 
+def _flip(row: Row) -> Row:
+    """``row`` with its last entry negated: a facet row (a, -b) read as the
+    ray (a, b) of the polar cone, and back; a point row (V, d) as (V, -d)."""
+    return row[:-1] + (-row[-1],)
+
+
 def _mirrored(rows: Sequence[Row]) -> bool:
     """Whether row N-1-i is the antipode of row i for every i: for distinct
     rows sorted as their points sort, whether the points are symmetric."""
@@ -161,7 +171,7 @@ class Polytope:
         """Facet halfspaces, scaled to offset 1 when the origin is interior,
         otherwise to a primitive integer normal."""
         if self.origin_interior():
-            return [HalfSpace(dehomogenize(f[:-1] + (-f[-1],)), ONE) for f in self.facet_rows]
+            return [HalfSpace(dehomogenize(_flip(f)), ONE) for f in self.facet_rows]
         return [HalfSpace(as_vec(f[:-1]), Fraction(-f[-1])) for f in self.facet_rows]
 
     @property
@@ -259,10 +269,11 @@ def _crossings(
     fresh: list[Row] = []
     fresh_masks: list[int] = []
     blocks = None
+    lows = [(masks[m], m) for m in minus]
     for p in plus:
         zp = masks[p]
-        for m in minus:
-            zpn = zp & masks[m]
+        for zm, m in lows:
+            zpn = zp & zm
             if zpn.bit_count() < dim - 1:
                 continue
             if blocks is None:
@@ -278,6 +289,14 @@ def _crossings(
                 fresh.append(combo)
                 fresh_masks.append(zpn | bit)
     return fresh, fresh_masks
+
+
+def _split(vals: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The indices of the positive, negative and zero ``vals``, in one pass."""
+    plus, minus, zero = [], [], []
+    for i, v in enumerate(vals):
+        (plus if v > 0 else minus if v < 0 else zero).append(i)
+    return plus, minus, zero
 
 
 def _swap_pairs(mask: int, even: int) -> int:
@@ -296,14 +315,18 @@ def _slab(
     ray's mirror has its mask with adjacent bits swapped.  The new pair
     takes bits 2 * ``pair`` and 2 * ``pair`` + 1.
 
-    (V, d) . x = r . s(x), so -q's values are q's on the mirror rays.  Every
-    ray has t > 0, hence (V, d) . x = 2dt - r . x > 0 on q's boundary: no
+    (V, d) . x = r . s(x) = 2dt - r . x, so -q's values are q's on the
+    mirror rays, and r's are read off its values on one ray of each mirror
+    pair.  Every ray has t > 0, hence (V, d) . x > 0 on q's boundary: no
     ray lies on both boundaries, the new rays on -q's boundary are the
     mirrors of those on q's, and only q's crossings are computed."""
     bit = 1 << 2 * pair
-    vals = [int_dot(row, ray) for ray in rays]
-    plus = [i for i, v in enumerate(vals) if v > 0]
-    minus = [i for i, v in enumerate(vals) if v < 0]
+    d2 = 2 * row[-1]
+    vals: list[int] = []
+    for ray in rays[::2]:
+        v = sum(map(mul, row, ray))
+        vals += (v, d2 * ray[-1] - v)
+    plus, minus, _ = _split(vals)
     fresh, fresh_masks = _crossings(rays, masks, vals, plus, minus, bit, dim)
     out_rays: list[Row] = []
     out_masks: list[int] = []
@@ -355,17 +378,15 @@ def vertex_enumeration(
     # mask holds the bits of the constraints so far that it is tight on
     for idx, row in enumerate(ordered[n:], n):
         bit = 1 << idx
-        vals = [int_dot(row, ray) for ray in rays]
-        if all(v >= 0 for v in vals):
-            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+        vals = [sum(map(mul, row, ray)) for ray in rays]
+        plus, minus, zero = _split(vals)
+        if not minus:
+            for i in zero:
+                masks[i] |= bit
             continue
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
         fresh, fresh_masks = _crossings(rays, masks, vals, plus, minus, bit, dim)
-        keep = plus + zero
-        rays = [rays[i] for i in keep] + fresh
-        masks = [masks[i] | bit if vals[i] == 0 else masks[i] for i in keep] + fresh_masks
+        rays = [rays[i] for i in plus] + [rays[i] for i in zero] + fresh
+        masks = [masks[i] for i in plus] + [masks[i] | bit for i in zero] + fresh_masks
         if not rays:
             raise GeometryError("halfspace system has empty interior")
 
@@ -426,7 +447,8 @@ def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row])
     is spanned by a (dim-1)-dimensional set of points on it; returns the
     incidence.
 
-    When every point's antipode is a point too, one product <a, V> per
+    When every point's antipode is a point too (row N-1-i for mirrored
+    rows, ``_mirrored``, else looked up), one product <a, V> per
     antipodal pair (V, d), (-V, d) gives the values of a facet row (a, -b)
     on both points (``_tight_pairs``).  And the mirror (-a, -b) of a facet
     row is checked with it: (-a, -b) . r = (a, -b) . r' for the antipode r'
@@ -435,9 +457,12 @@ def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row])
 
     A facet with exactly dim points on it has its rank certified by one
     dim x dim determinant; one with more keeps the elimination."""
-    index = {r: i for i, r in enumerate(rows)}
-    anti = [index.get(_antipode(r)) for r in rows]
-    symmetric = None not in anti
+    symmetric = _mirrored(rows)
+    anti = range(len(rows) - 1, -1, -1)
+    if not symmetric:
+        index = {r: i for i, r in enumerate(rows)}
+        anti = [index.get(_antipode(r)) for r in rows]
+        symmetric = None not in anti
     pairs = [(i, k, rows[i][:-1], rows[i][-1]) for i, k in enumerate(anti) if symmetric and i <= k]
     mirror = {f: j for j, f in enumerate(facet_rows)} if symmetric else {}
     incidence: list[int | None] = [None] * len(facet_rows)
@@ -487,20 +512,18 @@ def _point_row(point: Sequence) -> Row:
     return homogeneous(as_vec(p))
 
 
+def _renumbered(incidence, keep: list[int]) -> tuple[int, ...]:
+    """The incidence masks on the point rows indexed by ``keep``, in its order."""
+    position = {i: j for j, i in enumerate(keep)}
+    return tuple(sum(1 << position[i] for i in bits(mask) if i in position) for mask in incidence)
+
+
 def _polytope(dim: int, rows, facet_rows, incidence, keep) -> Polytope:
     """Polytope on the point rows indexed by ``keep``, sorted as their
     points sort (``_row_cmp``, with no common denominator); the incidence is
     renumbered to the sorted vertex list."""
     keep = sorted(keep, key=lambda i: _row_key(rows[i]))
-    position = {i: j for j, i in enumerate(keep)}
-    renumbered = []
-    for mask in incidence:
-        new = 0
-        for i in bits(mask):
-            if i in position:
-                new |= 1 << position[i]
-        renumbered.append(new)
-    return Polytope(dim, tuple(rows[i] for i in keep), tuple(facet_rows), tuple(renumbered))
+    return Polytope(dim, tuple(rows[i] for i in keep), tuple(facet_rows), _renumbered(incidence, keep))
 
 
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
@@ -514,7 +537,9 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     {u : <q, u> <= 1}, whose vertices u are the facets <u, x - c> <= 1 of P.
     c is the origin for a symmetric point set and otherwise the centroid of
     dim+1 affinely independent points, whose denominator stays small.
-    An integer point p has the row (p, 1), made with no ``Fraction``.
+    An integer point p has the row (p, 1), made with no ``Fraction``.  The
+    rows go to the double description in input order, which fixes the facet
+    row order, and to the check and the result sorted.
     """
     rows = list(dict.fromkeys(map(_point_row, points)))
     if not rows:
@@ -528,15 +553,15 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     # each point's constraint right after its antipode's keeps the cones of
     # the double description small; a symmetric set gains no point by it
     order = list(dict.fromkeys(x for r in rows for x in (r, _antipode(r))))
-    if len(order) == len(rows):
-        center, m = [0] * dim, 1
-    else:
-        order = rows
-        scale = lcm(*(rows[i][-1] for i in basis))
-        center = [sum(rows[i][k] * (scale // rows[i][-1]) for i in basis) for k in range(dim)]
-        m = scale * len(basis)  # c = center / m
+    if len(order) == len(rows):  # c = 0 and m = 1; the origin's constraint is vacuous
+        shifted = [_flip(r) for r in order if any(r[:-1])]
+        facet_rows = vertex_enumeration(shifted, dim, integer_rows=True)
+        return _hull_polytope(dim, sorted(rows, key=_row_key), list(map(_flip, facet_rows)))
+    scale = lcm(*(rows[i][-1] for i in basis))
+    center = [sum(rows[i][k] * (scale // rows[i][-1]) for i in basis) for k in range(dim)]
+    m = scale * len(basis)  # c = center / m
     shifted = []
-    for r in order:
+    for r in rows:
         q = primitive([m * x - c * r[-1] for x, c in zip(r, center)] + [-m * r[-1]])
         if any(q[:-1]):  # a point at c is interior; its constraint is vacuous
             shifted.append(q)
@@ -544,12 +569,13 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
         primitive([m * a for a in u[:-1]] + [-m * u[-1] - int_dot(u[:-1], center)])
         for u in vertex_enumeration(shifted, dim, integer_rows=True)
     ]
-    return _hull_polytope(dim, rows, facet_rows)
+    return _hull_polytope(dim, sorted(rows, key=_row_key), facet_rows)
 
 
-def _hull_polytope(dim: int, rows, facet_rows) -> Polytope:
-    """The hull of the point ``rows`` from its facet rows: the consistency
-    check of every point against every facet, then the extreme points."""
+def _hull_polytope(dim: int, rows: list[Row], facet_rows) -> Polytope:
+    """The hull of the point ``rows``, sorted as their points sort, from its
+    facet rows: the consistency check of every point against every facet,
+    then the extreme points, which stay sorted."""
     incidence = _check_consistency(dim, rows, facet_rows)
 
     # A point is extreme exactly when the facets through it meet in it alone.
@@ -558,7 +584,10 @@ def _hull_polytope(dim: int, rows, facet_rows) -> Polytope:
         for i in bits(mask):
             meet[i] &= mask
     keep = [i for i in range(len(rows)) if meet[i] == 1 << i]
-    return _polytope(dim, rows, facet_rows, incidence, keep)
+    if len(keep) < len(rows):
+        incidence = _renumbered(incidence, keep)
+        rows = [rows[i] for i in keep]
+    return Polytope(dim, tuple(rows), tuple(facet_rows), incidence)
 
 
 def _grow_hull(P: Polytope, rows: Sequence[Row]) -> Polytope:
@@ -577,7 +606,9 @@ def _grow_hull(P: Polytope, rows: Sequence[Row]) -> Polytope:
     row of the first half is inserted with its mirrored row as one slab
     |<q, u>| <= t (``_slab``), in the given order.  Vertices of P among the
     rows add nothing and are dropped, which keeps the rest mirrored; the
-    origin, a middle row, is inside P and adds no constraint.
+    origin, a middle row, is inside P and adds no constraint.  The check
+    takes P's rows and the new rows merged, sorted again, so it pairs them
+    by position too.
     """
     if not P.symmetric:
         raise GeometryError("the warm start needs a centrally symmetric body")
@@ -591,13 +622,14 @@ def _grow_hull(P: Polytope, rows: Sequence[Row]) -> Polytope:
         if f > _antipode(f):  # one facet row of each mirror pair
             # vertex i < n/2 takes bit 2i, its antipode n-1-i bit 2i+1
             mask = sum(1 << min(2 * i, 2 * (n - i) - 1) for i in bits(tight))
-            rays += [f[:-1] + (-f[-1],), tuple(-c for c in f)]
+            rays += [_flip(f), tuple(-c for c in f)]
             masks += [mask, _swap_pairs(mask, even)]
     for pair, r in enumerate(new[: len(new) // 2], n // 2):
         # (-V, d): <q, u> <= t, q = V/d
         rays, masks = _slab(rays, masks, _antipode(r), pair, even, P.dim)
-    facet_rows = [r[:-1] + (-r[-1],) for r in rays]
-    return _hull_polytope(P.dim, list(P.rows) + new, facet_rows)
+    facet_rows = list(map(_flip, rays))
+    # two sorted runs, which the sort merges in linear time
+    return _hull_polytope(P.dim, sorted([*P.rows, *new], key=_row_key), facet_rows)
 
 
 def from_halfspaces(
@@ -710,11 +742,11 @@ def volume(P: Polytope) -> Fraction:
             s
             for f, mask in zip(P.facet_rows, P.incidence)
             if f > _antipode(f)
-            for s in _pulling_triangulation(P, mask, P.dim - 1, memo)
+            for s in _pulling_triangulation(P.incidence, mask, P.dim - 1, memo)
         ]
         end, scale = -1, 2  # drop d_i: the cone's apex is the origin
     else:
-        simplices = _pulling_triangulation(P, (1 << len(P.rows)) - 1, P.dim, memo)
+        simplices = _pulling_triangulation(P.incidence, (1 << len(P.rows)) - 1, P.dim, memo)
         end, scale = None, 1
     sums: dict[int, int] = {}  # denominator product -> sum of |det|
     for simplex in simplices:
@@ -737,13 +769,15 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _facets_of(P: Polytope, face: int, k: int) -> list[int]:
-    """The facets of a k-dimensional face of P, k >= 1, as vertex bitmasks.
-    Every face is the intersection of the facets containing it, so these
-    are the inclusion-maximal intersections of ``face`` with the facets of P
-    that do not contain it.  A (k-1)-face has at least k vertices, so
+def _facets_of(pool: Iterable[int], face: int, k: int) -> list[int]:
+    """The facets of a k-dimensional face of P, k >= 1, as vertex bitmasks:
+    the inclusion-maximal intersections of ``face`` with the faces in
+    ``pool`` that do not contain it.  The pool is P's incidence, as every
+    face is the intersection of the facets containing it, or, for a facet R
+    of a face F, F's facets: each facet of R is a ridge of F, which lies in
+    R and one other facet of F.  A (k-1)-face has at least k vertices, so
     smaller intersections are never maximal and are left out first."""
-    return _maximal(h for g in P.incidence if (h := face & g) != face and h.bit_count() >= k)
+    return _maximal(h for g in pool if (h := face & g) != face and h.bit_count() >= k)
 
 
 def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
@@ -755,7 +789,7 @@ def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
     """
     levels = {P.dim - 1: set(P.incidence)}
     for k in range(P.dim - 1, 1, -1):
-        levels[k - 1] = {h for face in levels[k] for h in _facets_of(P, face, k)}
+        levels[k - 1] = {h for face in levels[k] for h in _facets_of(P.incidence, face, k)}
     return {
         k: sorted((frozenset(bits(mask)) for mask in level), key=sorted)
         for k, level in levels.items()
@@ -769,23 +803,25 @@ def f_vector(P: Polytope) -> tuple[int, ...]:
 
 
 def _pulling_triangulation(
-    P: Polytope, face: int, k: int, memo: dict[int, list[tuple[int, ...]]]
+    pool: list[int], face: int, k: int, memo: dict[int, list[tuple[int, ...]]]
 ) -> list[tuple[int, ...]]:
     """Simplices of the pulling triangulation of the k-dimensional ``face``
     of P, a vertex bitmask, as (k+1)-tuples of vertex indices, memoized by
     mask.  A face with k+1 vertices is a simplex; any other is the fan from
-    its lowest (lex-smallest) vertex over its facets that miss it."""
+    its lowest (lex-smallest) vertex over its facets that miss it, found in
+    ``pool``, its parent's facets or P's (``_facets_of``)."""
     if face not in memo:
         if face.bit_count() == k + 1:
             memo[face] = [tuple(bits(face))]
         else:
             low = face & -face
             apex = low.bit_length() - 1
+            children = _facets_of(pool, face, k)
             memo[face] = [
                 (apex,) + s
-                for child in _facets_of(P, face, k)
+                for child in children
                 if not child & low
-                for s in _pulling_triangulation(P, child, k - 1, memo)
+                for s in _pulling_triangulation(children, child, k - 1, memo)
             ]
     return memo[face]
 

@@ -17,6 +17,7 @@ from sympolar.capacity import (
     CertificateError,
     SearchBudgetError,
     _clique_bound,
+    _omega_matrix,
     _search,
     ehz_brute_force,
     equal_weight_certificate,
@@ -377,6 +378,22 @@ def test_search_matches_fraction_reference(hexa, square, cross2, octagon, p2, pr
             bound = len(generator_base(poly, mode))
         got = ehz_brute_force(poly, support_bound=bound, mode=mode)
         assert got == _reference_search(poly, bound, mode)
+
+
+def test_omega_matrix_matches_fraction_omega(hexa, square, cross2, octagon, p2, p3, products):
+    """The search's integer omega-matrix, read off the generators' rows, is
+    the one scaled from ``Fraction`` omega by the lcm of its denominators."""
+    rng = random.Random(11)
+    polygons = [random_symmetric_polytope(rng, 2, points=3) for _ in range(4)]
+    scales = set()
+    for poly in [hexa, square, cross2, octagon, p2, p3, *products.values(), *polygons]:
+        for mode in ("facet-normals", "vertices"):
+            base = generator_base(poly, mode)
+            W = [[omega(a, b) for b in base] for a in base]
+            w_scale = lcm(*(c.denominator for row in W for c in row))
+            assert _omega_matrix(base) == ([[int(c * w_scale) for c in row] for row in W], w_scale)
+            scales.add(w_scale)
+    assert len(scales) > 2
 
 
 def test_bounded_search_matches_fraction_reference(octagon):

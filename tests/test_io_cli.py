@@ -243,10 +243,11 @@ def test_cli_enumerate_pm1_dim2(tmp_path, capsys):
 
 
 def test_cli_table1_budgeted(tmp_path, capsys):
-    assert _call(tmp_path, "table1", "--budget", "30") == 0
-    out = capsys.readouterr().out
-    assert "|V(K)|" in out
-    assert "partial" in out
+    for budget in ("30", "0"):
+        assert _call(tmp_path, "table1", "--budget", budget) == 0
+        out = capsys.readouterr().out
+        assert "|V(K)|" in out
+        assert "partial" in out
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -278,6 +279,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert _call(tmp_path, "ehz", str(tmp_path / "tri.json")) == 5
     # dim-6 enumeration without budget -> 5
     assert _call(tmp_path, "enumerate-pm1", "--dim", "6") == 5
+    # a negative clique budget -> 5, with no table or count printed
+    capsys.readouterr()
+    for argv in (("table1", "--budget", "-1"), ("enumerate-pm1", "--dim", "6", "--budget", "-3")):
+        assert _call(tmp_path, *argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "clique budget must be at least 0" in captured.err
 
 
 def _triangle():

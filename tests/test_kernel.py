@@ -23,6 +23,7 @@ from sympolar.geometry import (
     _check_consistency,
     _crossings,
     _incidence,
+    _mirrored,
     _packed,
     _polytope,
     _row_key,
@@ -44,7 +45,7 @@ from sympolar.linalg import (
     primitive,
     vneg,
 )
-from sympolar.suspension import power_suspend, suspend_halfspaces
+from sympolar.suspension import power_suspend, suspend_halfspaces, volume_closed_form
 from sympolar.symplectic import check_subset_sympolar, expand_step, symplectic_polar
 
 from conftest import random_point, random_symmetric_polytope
@@ -244,6 +245,20 @@ def test_volume_branches_match_reference(p2):
     assert [volume(P) for P in table1] == [F(7, 2), F(11, 3), F(23, 6), F(4)]
 
 
+def test_volume_pools_from_parent_faces():
+    """The triangulation takes a face's facets from its parent face's: P_4,
+    whose facets it triangulates three levels deep, has the closed-form
+    volume, and a dim-4 body with no centre, fanned from its full vertex set
+    over facets of 8 or more vertices and square 2-faces, the reference
+    volume."""
+    assert volume(power_suspend(4)) == volume_closed_form(4) == F(11, 8)
+    half, third = F(1, 2), F(1, 3)
+    P = convex_hull(list(product((0, 1), repeat=4)) + [(2, half, half, half), (half, -1, third, 0)])
+    assert P.dim == 4 and not P.symmetric
+    assert max(len(s) for s in P.facet_vertex_sets()) >= 8
+    assert volume(P) == ref_volume(P) == F(25, 16)
+
+
 def test_vertices_sorted_with_mixed_denominators(generated):
     skew = [[1, F(1, 3), 0, 0], [0, 1, 0, 0], [F(-1, 2), 0, 2, 0], [0, 0, F(1, 5), -1]]
     shrunk = BODIES[9:15]
@@ -300,6 +315,29 @@ def test_paired_consistency_names_the_violating_point(square, generated):
         with pytest.raises(GeometryError, match="violates") as info:
             _check_consistency(P.dim, [origin] + list(P.rows), [f[:-1] + (-f[-1],)])
         assert str(dehomogenize(origin)) in str(info.value)
+
+
+def test_consistency_pairs_sorted_rows_by_position(p3, generated):
+    """Sorted symmetric rows pair row i with row N-1-i: the incidence is the
+    full one, a point outside a facet row is named, and a facet row that is
+    not spanned is rejected."""
+    for points in symmetric_point_sets(p3, generated):
+        P = convex_hull(points)
+        rows = sorted({homogeneous(p) for p in points}, key=_row_key)
+        assert _mirrored(rows)
+        assert _check_consistency(P.dim, rows, P.facet_rows) == _incidence(rows, P.facet_rows)
+    f = generated.facet_rows[0]
+    v = generated.rows[next(bits(generated.incidence[0]))]
+    q = tuple(2 * c for c in v[:-1]) + v[-1:]  # 2v: outside f, its antipode inside
+    rows = sorted(list(generated.rows) + [q, _antipode(q)], key=_row_key)
+    assert _mirrored(rows)
+    with pytest.raises(GeometryError, match="violates") as info:
+        _check_consistency(generated.dim, rows, generated.facet_rows)
+    assert str(dehomogenize(q)) in str(info.value)
+    cube = convex_hull(list(product((-1, 1), repeat=4)))
+    assert _mirrored(cube.rows)
+    with pytest.raises(GeometryError, match="not supported"):
+        _check_consistency(4, cube.rows, cube.facet_rows + ((1, 1, 0, 0, -2),))
 
 
 def symmetric_point_sets(p3, generated):
@@ -500,6 +538,22 @@ def test_hull_order_is_pinned():
     )
     assert hull_digest(random_selfpolar(6, 8, 1, max_iter=2).final) == (
         "4707a29f86418a080f371d7e862a9ab32b8b53bd43cff542e0d669188969f40c"
+    )
+
+
+def test_table1_hulls_are_pinned():
+    """Every one of the 396 dim-4 class-table hulls, in clique order: vertex
+    rows, facet rows in order, incidence and volume."""
+    reps = sign_vector_pairs(4)
+    digest = hashlib.sha256()
+    count = 0
+    for clique in maximal_cliques(compatibility_adjacency(reps)):
+        P = convex_hull([p for i in bits(clique) for p in (reps[i], vneg(reps[i]))])
+        digest.update(repr((P.rows, P.facet_rows, P.incidence, volume(P))).encode())
+        count += 1
+    assert count == 396
+    assert digest.hexdigest() == (
+        "3307926c8cf8daa8be874fa9b80639661123b1531a026716b75c4191178b530f"
     )
 
 

@@ -109,10 +109,16 @@ def test_dim4_partial_budget():
 def test_budget_partial_exactly_when_cliques_remain():
     # dim 2 has exactly 2 maximal cliques
     seen = {}
-    for budget in (1, 2, 3):
+    for budget in (0, 1, 2, 3):
         result = enumerate_pm1(2, budget=budget)
         seen[budget] = (result.cliques_seen, result.complete)
-    assert seen == {1: (1, False), 2: (2, True), 3: (2, True)}
+    assert seen == {0: (0, False), 1: (1, False), 2: (2, True), 3: (2, True)}
+
+
+def test_negative_budget_is_rejected():
+    for dim, budget in ((2, -1), (4, -1), (6, -3)):
+        with pytest.raises(ValueError, match="at least 0"):
+            enumerate_pm1(dim, budget=budget)
 
 
 def test_dim6_requires_budget():
