@@ -34,19 +34,18 @@ of about 2048 bits (``_packed``), in place of a scan over every ray.
 Every body of the paper is centrally symmetric, and the kernel uses that
 four times.  The cold start of a symmetric point set inserts each point's
 constraint right after its antipode's, which keeps the intermediate cones
-of the degenerate suspensions small; its shifted rows and facet rows are
-the point rows and rays with the last entry negated (``_flip``), already
-primitive.  The warm start keeps the symmetric polar cone's rays in mirror
-pairs and cuts it by each new antipodal pair of points at once, as one
-slab whose second half is the mirror of the first.  The hull sorts its
-rows once, and negation reverses the order of points, so row N-1-i is the
-antipode of row i (``_mirrored``): the warm start reads its pairs off
-them, and the consistency check evaluates a facet row on an antipodal pair
-(V, d), (-V, d) with one product <a, V>.  The mirror facet (-a, -b) of a
-facet row (a, -b) satisfies (-a, -b) . (V, d) = (a, -b) . (-V, d), so the
-check tests each such pair of facets once and maps the tight set through
-the antipodes.  And the volume of a symmetric body is twice that of the
-cones from the origin over one facet of each mirror pair.
+of the degenerate suspensions small.  The warm start keeps the symmetric
+polar cone's rays in mirror pairs and cuts it by each new antipodal pair
+of points at once, as one slab whose second half is the mirror of the
+first.  The hull sorts its rows once, and negation reverses the order of
+points, so row N-1-i is the antipode of row i (``_mirrored``): the warm
+start reads its pairs off them, and the consistency check evaluates a
+facet row on an antipodal pair (V, d), (-V, d) with one product <a, V>.
+The mirror facet (-a, -b) of a facet row (a, -b) satisfies
+(-a, -b) . (V, d) = (a, -b) . (-V, d), so the check tests each such pair
+of facets once and maps the tight set through the antipodes.  And the
+volume of a symmetric body is twice that of the cones from the origin over
+one facet of each mirror pair.
 
 Vertices sort as their points sort; rows are compared without
 ``Fraction``s or a common denominator (``_row_cmp``).
@@ -58,7 +57,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import factorial, lcm, prod
-from operator import mul
 from typing import Iterable, Sequence
 
 from sympolar.linalg import (
@@ -324,7 +322,7 @@ def _slab(
     d2 = 2 * row[-1]
     vals: list[int] = []
     for ray in rays[::2]:
-        v = sum(map(mul, row, ray))
+        v = int_dot(row, ray)
         vals += (v, d2 * ray[-1] - v)
     plus, minus, _ = _split(vals)
     fresh, fresh_masks = _crossings(rays, masks, vals, plus, minus, bit, dim)
@@ -378,7 +376,7 @@ def vertex_enumeration(
     # mask holds the bits of the constraints so far that it is tight on
     for idx, row in enumerate(ordered[n:], n):
         bit = 1 << idx
-        vals = [sum(map(mul, row, ray)) for ray in rays]
+        vals = [int_dot(row, ray) for ray in rays]
         plus, minus, zero = _split(vals)
         if not minus:
             for i in zero:
@@ -447,22 +445,18 @@ def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row])
     is spanned by a (dim-1)-dimensional set of points on it; returns the
     incidence.
 
-    When every point's antipode is a point too (row N-1-i for mirrored
-    rows, ``_mirrored``, else looked up), one product <a, V> per
-    antipodal pair (V, d), (-V, d) gives the values of a facet row (a, -b)
-    on both points (``_tight_pairs``).  And the mirror (-a, -b) of a facet
-    row is checked with it: (-a, -b) . r = (a, -b) . r' for the antipode r'
-    of r, so its tight set is the antipodes of the other's, whose rows
-    differ by diag(-1, ..., -1, 1) and so have equal rank.
+    When the rows are mirrored (``_mirrored``), as symmetric rows sorted as
+    their points sort are, one product <a, V> per antipodal pair (V, d),
+    (-V, d) gives the values of a facet row (a, -b) on both points
+    (``_tight_pairs``).  And the mirror (-a, -b) of a facet row is checked
+    with it: (-a, -b) . r = (a, -b) . r' for the antipode r' of r, so its
+    tight set is the antipodes of the other's, whose rows differ by
+    diag(-1, ..., -1, 1) and so have equal rank.
 
     A facet with exactly dim points on it has its rank certified by one
     dim x dim determinant; one with more keeps the elimination."""
     symmetric = _mirrored(rows)
     anti = range(len(rows) - 1, -1, -1)
-    if not symmetric:
-        index = {r: i for i, r in enumerate(rows)}
-        anti = [index.get(_antipode(r)) for r in rows]
-        symmetric = None not in anti
     pairs = [(i, k, rows[i][:-1], rows[i][-1]) for i, k in enumerate(anti) if symmetric and i <= k]
     mirror = {f: j for j, f in enumerate(facet_rows)} if symmetric else {}
     incidence: list[int | None] = [None] * len(facet_rows)
@@ -553,23 +547,21 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     # each point's constraint right after its antipode's keeps the cones of
     # the double description small; a symmetric set gains no point by it
     order = list(dict.fromkeys(x for r in rows for x in (r, _antipode(r))))
-    if len(order) == len(rows):  # c = 0 and m = 1; the origin's constraint is vacuous
-        shifted = [_flip(r) for r in order if any(r[:-1])]
-        facet_rows = vertex_enumeration(shifted, dim, integer_rows=True)
-        return _hull_polytope(dim, sorted(rows, key=_row_key), list(map(_flip, facet_rows)))
-    scale = lcm(*(rows[i][-1] for i in basis))
-    center = [sum(rows[i][k] * (scale // rows[i][-1]) for i in basis) for k in range(dim)]
-    m = scale * len(basis)  # c = center / m
-    shifted = []
-    for r in rows:
-        q = primitive([m * x - c * r[-1] for x, c in zip(r, center)] + [-m * r[-1]])
-        if any(q[:-1]):  # a point at c is interior; its constraint is vacuous
-            shifted.append(q)
-    facet_rows = [
-        primitive([m * a for a in u[:-1]] + [-m * u[-1] - int_dot(u[:-1], center)])
-        for u in vertex_enumeration(shifted, dim, integer_rows=True)
-    ]
-    return _hull_polytope(dim, sorted(rows, key=_row_key), facet_rows)
+    if len(order) == len(rows):  # c = 0 and m = 1: the rows stay primitive
+        shifted, facet_row = [_flip(r) for r in order], _flip
+    else:
+        scale = lcm(*(rows[i][-1] for i in basis))
+        center = [sum(rows[i][k] * (scale // rows[i][-1]) for i in basis) for k in range(dim)]
+        m = scale * len(basis)  # c = center / m
+        shifted = [primitive([m * x - c * r[-1] for x, c in zip(r, center)] + [-m * r[-1]])
+                   for r in rows]
+
+        def facet_row(u: Row) -> Row:
+            return primitive([m * a for a in u[:-1]] + [-m * u[-1] - int_dot(u[:-1], center)])
+
+    # a point at c is interior; its constraint is vacuous
+    rays = vertex_enumeration([q for q in shifted if any(q[:-1])], dim, integer_rows=True)
+    return _hull_polytope(dim, sorted(rows, key=_row_key), list(map(facet_row, rays)))
 
 
 def _hull_polytope(dim: int, rows: list[Row], facet_rows) -> Polytope:
@@ -606,9 +598,7 @@ def _grow_hull(P: Polytope, rows: Sequence[Row]) -> Polytope:
     row of the first half is inserted with its mirrored row as one slab
     |<q, u>| <= t (``_slab``), in the given order.  Vertices of P among the
     rows add nothing and are dropped, which keeps the rest mirrored; the
-    origin, a middle row, is inside P and adds no constraint.  The check
-    takes P's rows and the new rows merged, sorted again, so it pairs them
-    by position too.
+    origin, a middle row, is inside P and adds no constraint.
     """
     if not P.symmetric:
         raise GeometryError("the warm start needs a centrally symmetric body")
