@@ -60,6 +60,7 @@ from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
 from sympolar.linalg import (
+    SingularMatrixError,
     Vec,
     as_vec,
     bits,
@@ -71,10 +72,8 @@ from sympolar.linalg import (
     int_adjugate,
     int_det,
     int_dot,
-    invert,
     is_zero_vec,
     primitive,
-    transpose,
 )
 
 ONE = Fraction(1)
@@ -185,6 +184,8 @@ class Polytope:
         return self._facets
 
     def contains(self, point: Vec) -> bool:
+        if len(point) != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {len(point)}")
         row = homogeneous(as_vec(point))
         return all(int_dot(f, row) <= 0 for f in self.facet_rows)
 
@@ -213,8 +214,10 @@ class Polytope:
 # Double description: vertex enumeration of a bounded halfspace intersection.
 
 
-def _halfspace_rows(halfspaces: Sequence[tuple[Vec, Fraction]]) -> list[Row]:
-    """Distinct primitive rows (a, -b) of the halfspaces <a, x> <= b."""
+def _halfspace_rows(halfspaces: Sequence[tuple[Vec, Fraction]], dim: int) -> list[Row]:
+    """Distinct primitive rows (a, -b) of the halfspaces <a, x> <= b in R^dim."""
+    if any(len(normal) != dim for normal, _ in halfspaces):
+        raise GeometryError(f"halfspace normals must have {dim} coordinates")
     if any(is_zero_vec(normal) for normal, _ in halfspaces):
         raise GeometryError("halfspace normal must be nonzero")
     return list(
@@ -352,7 +355,7 @@ def vertex_enumeration(
     infinity survives and GeometryError when the system cannot describe a
     full-dimensional bounded body.
     """
-    rows = [tuple(-c for c in f) for f in (halfspaces if integer_rows else _halfspace_rows(halfspaces))]
+    rows = [tuple(-c for c in f) for f in (halfspaces if integer_rows else _halfspace_rows(halfspaces, dim))]
     rows.append((0,) * dim + (1,))  # homogenization: t >= 0
 
     n = dim + 1
@@ -631,7 +634,7 @@ def from_halfspaces(
     sets, and a redundant halfspace's is a smaller face or empty, so the
     maximal ones are kept.  A halfspace tight on every vertex is an implicit
     equality: the region is lower-dimensional."""
-    candidates = _halfspace_rows(halfspaces)
+    candidates = _halfspace_rows(halfspaces, dim)
     rows = vertex_enumeration(candidates, dim, integer_rows=True)
     incidence = _incidence(rows, candidates)
     if (1 << len(rows)) - 1 in incidence:
@@ -684,15 +687,23 @@ def polar_dual(P: Polytope) -> Polytope:
 
 
 def apply_linear(matrix: Sequence[Sequence], P: Polytope) -> Polytope:
-    """Image of P under an invertible linear map, re-canonicalized; facets
-    map by the inverse transpose and the incidence carries over."""
+    """Image of P under an invertible linear map, re-canonicalized; the
+    incidence carries over.  With M = A/s for an integer A, a vertex row
+    (V, d) maps to (A V, s d), and a facet row (a, -b), defined up to a
+    positive scale, by the inverse transpose s adj(A)^T / det(A) to
+    (sign(det) s adj(A)^T a, -b |det|)."""
     M = tuple(as_vec(row) for row in matrix)
     if len(M) != P.dim or any(len(row) != P.dim for row in M):
         raise GeometryError("matrix shape does not match the polytope dimension")
-    inv_t = transpose(invert(M))  # SingularMatrixError for singular input
-    rows = [homogeneous(tuple(dot(row, v) for row in M)) for v in P.vertices]
+    s = lcm(*(c.denominator for row in M for c in row))
+    A = [[c.numerator * (s // c.denominator) for c in row] for row in M]
+    det, adj = int_adjugate(A)
+    if det == 0:
+        raise SingularMatrixError("matrix is singular")
+    rows = [primitive([int_dot(a, r[:-1]) for a in A] + [s * r[-1]]) for r in P.rows]
+    scale = s if det > 0 else -s
     facet_rows = [
-        fraction_vec_to_int(tuple(dot(row, as_vec(f[:-1])) for row in inv_t) + (Fraction(f[-1]),))
+        primitive([scale * int_dot(col, f[:-1]) for col in zip(*adj)] + [abs(det) * f[-1]])
         for f in P.facet_rows
     ]
     return _polytope(P.dim, rows, facet_rows, P.incidence, range(len(rows)))

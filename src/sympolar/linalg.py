@@ -1,16 +1,26 @@
 """Exact linear algebra for the polyhedral kernel.
 
-The API speaks ``Fraction``: vectors are plain tuples of ``Fraction`` and
-matrices are tuples of row vectors, so every geometric object is immutable,
-hashable, and sorts lexicographically without extra machinery.
+At the API, a point or a normal is a tuple of ``Fraction``s (``as_vec``,
+``dot``).  Inside the kernel, points and hyperplanes are exact integer
+homogeneous rows.  A rational point ``v`` becomes the primitive row
+``(V, d)`` with ``v = V/d`` and ``d > 0`` (``homogeneous``), a halfspace
+``<a, x> <= b`` the primitive row ``(a, -b)``; incidence is then the sign
+of ``int_dot``.
 
-Inside the kernel, points and hyperplanes are exact integer homogeneous
-rows.  A rational point ``v`` becomes the primitive row ``(V, d)`` with
-``v = V/d`` and ``d > 0`` (``homogeneous``), a halfspace ``<a, x> <= b``
-the primitive row ``(a, -b)``; incidence is then the sign of ``int_dot``,
-ranks come from fraction-free elimination (``independent_rows``),
-adjugates from Bareiss elimination (``int_adjugate``) and determinants
-(``int_det``) from closed forms up to 4 x 4 and Bareiss elimination above.
+All elimination is on integers, fraction-free in the manner of Bareiss
+(1968), in three routines, each serving its own callers:
+
+- ``independent_rows``, a row echelon that makes each reduced row
+  primitive, for ranks: the affine basis of ``convex_hull``, the double
+  description's starting basis, the hull check's rank test of a facet with
+  more than dim points on it, ``from_halfspaces`` and the general-position
+  test of ``generate``;
+- ``int_det``, closed forms up to 4 x 4 and Bareiss elimination above, for
+  the volume's simplices and the hull check's rank test of a facet with
+  exactly dim points on it;
+- ``int_adjugate``, a Bareiss Gauss-Jordan, for the double description's
+  starting rays, the stationary points of the capacity search and the
+  inverse transpose of ``apply_linear``.
 """
 
 from __future__ import annotations
@@ -21,14 +31,12 @@ from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
-Matrix = tuple[Vec, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class SingularMatrixError(ValueError):
-    """A solve or inversion was attempted on a singular matrix."""
+    """A linear map that must be invertible is singular."""
 
 
 def as_vec(coords: Iterable) -> Vec:
@@ -50,49 +58,6 @@ def vneg(u: Vec) -> Vec:
 
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
-
-
-def transpose(rows: Matrix) -> Matrix:
-    return tuple(zip(*rows))
-
-
-def rank(rows: Iterable[Sequence]) -> int:
-    """Rank of a collection of rational row vectors."""
-    return len(independent_rows([fraction_vec_to_int(as_vec(row)) for row in rows]))
-
-
-def _gauss_jordan(matrix: Sequence[Sequence[Fraction]], extra: Sequence[Sequence[Fraction]]):
-    """Reduce [matrix | extra] to [I | matrix^-1 extra]; None when singular."""
-    n = len(matrix)
-    aug = [list(row) + list(tail) for row, tail in zip(matrix, extra)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [c - factor * p for c, p in zip(aug[r], aug[col])]
-    return [tuple(row[n:]) for row in aug]
-
-
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
-    """Solve a square linear system exactly; returns None when singular."""
-    reduced = _gauss_jordan(matrix, [(b,) for b in rhs])
-    return None if reduced is None else tuple(row[0] for row in reduced)
-
-
-def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
-    n = len(matrix)
-    reduced = _gauss_jordan(
-        matrix, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    )
-    if reduced is None:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(reduced)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,11 @@ from sympolar.capacity import (
     support_value,
 )
 from sympolar.geometry import apply_linear, convex_hull, polar_dual, volume
-from sympolar.linalg import solve
 from sympolar.suspension import induction_certificate
 from sympolar.symplectic import is_self_polar, omega
 
 from conftest import random_symmetric_polytope
+from fraction_linalg import solve
 
 F = Fraction
 

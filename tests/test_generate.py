@@ -22,7 +22,7 @@ def test_sample_points_inside_ball_general_position():
     for p in points:
         assert sum(c * c for c in p) < 1
         assert all(c.denominator <= 2**16 for c in p)
-    from sympolar.linalg import rank
+    from fraction_linalg import rank
     from itertools import combinations
 
     for subset in combinations(points, 4):

@@ -14,6 +14,7 @@ from sympolar.geometry import (
     gauge_norm,
     polar_dual,
     shadow_area,
+    vertex_enumeration,
     volume,
 )
 from sympolar.linalg import SingularMatrixError, vneg
@@ -193,6 +194,15 @@ def test_gauge_support_duality(hexa, square, octagon):
             )
 
 
+def test_contains_rejects_point_of_wrong_dimension(hexa):
+    # the integer dot product would zip and truncate (0, 0, 9) to the origin
+    for point in [(0, 0, 9), (0,)]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            hexa.contains(point)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            hexa.facets[0].contains(point)
+
+
 def test_gauge_needs_symmetry():
     triangle = convex_hull([(1, 0), (-1, 1), (-1, -2)])
     with pytest.raises(GeometryError):
@@ -306,6 +316,20 @@ def test_from_halfspaces_rejects_lower_dimensional_region():
     assert err.value.affine_dim == 1
 
 
+def test_halfspace_normals_must_match_dim():
+    # one 3-coordinate normal among 2-coordinate ones in R^2 would cut the
+    # box [-1, 0] x [-1, 1] out of the square; in R^3, 2-coordinate normals
+    # would index past their end
+    box = [((F(0), F(1)), F(1)), ((F(0), F(-1)), F(1))]
+    for halfspaces, dim in [
+        ([((F(1), F(0), F(0)), F(1)), ((F(-1), F(0)), F(1))] + box, 2),
+        ([((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1))] + box, 3),
+    ]:
+        for build in (vertex_enumeration, from_halfspaces):
+            with pytest.raises(GeometryError, match=f"must have {dim} coordinates"):
+                build(halfspaces, dim)
+
+
 # --- randomized properties ------------------------------------------------
 
 
@@ -333,7 +357,7 @@ def _brute_force_vertices(halfspaces, dim):
     engine."""
     from itertools import combinations
 
-    from sympolar.linalg import solve
+    from fraction_linalg import solve
 
     points = set()
     for subset in combinations(halfspaces, dim):

@@ -35,13 +35,15 @@ from sympolar.geometry import (
 )
 from sympolar.io import read_polytope, write_polytope
 from sympolar.linalg import (
+    SingularMatrixError,
     bits,
     dehomogenize,
+    fraction_vec_to_int,
     homogeneous,
+    independent_rows,
     int_adjugate,
     int_det,
     int_dot,
-    invert,
     primitive,
     vneg,
 )
@@ -49,6 +51,7 @@ from sympolar.suspension import power_suspend, suspend_halfspaces, volume_closed
 from sympolar.symplectic import check_subset_sympolar, expand_step, symplectic_polar
 
 from conftest import random_point, random_symmetric_polytope
+from fraction_linalg import invert, rank, transpose
 
 F = Fraction
 
@@ -595,6 +598,69 @@ def test_int_adjugate_matches_fraction_inverse():
             A.insert(rng.randrange(n), [sum(c * row[k] for c, row in zip(coefs, A)) for k in range(n)])
             assert int_det(A) == 0
             assert int_adjugate(A) == (0, None)
+
+
+def _greedy_rank_raising(rows, stop):
+    """Indices of the rows that raise the Fraction rank, taken in order."""
+    chosen = []
+    for i, row in enumerate(rows):
+        if len(chosen) == stop:
+            break
+        if rank([rows[j] for j in chosen] + [row]) > len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+def test_independent_rows_matches_fraction_rank():
+    rng = random.Random(5)
+    big = 1 << 300
+    for trial in range(120):
+        n = rng.randint(1, 6)
+        span = big if trial % 2 else 3
+        rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(rng.randint(1, n + 2))]
+        # dependent rows: combinations of the rows so far, and a zero row
+        for _ in range(rng.randint(0, 3)):
+            coefs = [rng.randint(-(1 << 20), 1 << 20) for _ in rows]
+            combo = [sum(c * row[k] for c, row in zip(coefs, rows)) for k in range(n)]
+            rows.insert(rng.randrange(len(rows) + 1), combo)
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+        for stop in (None, 1, 2, n):
+            assert independent_rows(rows, stop) == _greedy_rank_raising(rows, stop)
+
+
+# --- linear images ------------------------------------------------------------
+
+
+def test_apply_linear_matches_fraction_inverse(p2):
+    # vertices map by M and facets by the inverse transpose of the Fraction
+    # reference, made primitive; the incidence is recomputed from the rows
+    rng = random.Random(11)
+    asymmetric = convex_hull([(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, F(1, 3)), (1, 1, 1)])
+    negative = 0
+    for P in [asymmetric] * 40 + [p2] * 40:
+        M = [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(P.dim)] for _ in range(P.dim)]
+        try:
+            inv_t = transpose(invert(M))
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                apply_linear(M, P)
+            continue
+        Q = apply_linear(M, P)
+        images = [homogeneous(tuple(sum(a * c for a, c in zip(row, v)) for row in M)) for v in P.vertices]
+        assert Q.rows == tuple(sorted(images, key=dehomogenize))
+        facet_rows = tuple(
+            fraction_vec_to_int(tuple(sum(a * c for a, c in zip(row, f[:-1])) for row in inv_t) + (F(f[-1]),))
+            for f in P.facet_rows
+        )
+        assert Q.facet_rows == facet_rows
+        assert list(Q.incidence) == [
+            sum(1 << i for i, r in enumerate(Q.rows) if int_dot(f, r) == 0) for f in facet_rows
+        ]
+        negative += int_det([fraction_vec_to_int(row) for row in inv_t]) < 0
+    assert negative > 20
+    with pytest.raises(SingularMatrixError):
+        apply_linear([[F(1, 2), F(1, 3)], [F(3, 2), 1]], convex_hull([(1, 0), (0, 1), (-1, -1)]))
 
 
 # --- the Fraction views of the integer rows -----------------------------------
