@@ -32,7 +32,7 @@ from typing import Sequence
 
 from sympolar.geometry import Polytope
 from sympolar.linalg import Vec, dot, fraction_vec_to_int, homogeneous, int_adjugate, vneg
-from sympolar.suspension import PIVOT, induction_certificate
+from sympolar.suspension import PIVOT, hexagon, induction_certificate
 from sympolar.symplectic import is_self_polar, omega, omega_rows
 
 log = logging.getLogger(__name__)
@@ -173,26 +173,33 @@ def evaluate_certificate(P: Polytope, cert: CapacityCertificate) -> Fraction:
     return _double_sum(vectors, cert.coeffs)
 
 
-def _base_and_indices(vectors: Sequence[Vec]):
-    base = tuple(sorted({_pair_rep(v) for v in vectors}))
+def _indices(base: Sequence[Vec], vectors: Sequence[Vec]) -> tuple[tuple[int, int], ...]:
+    """The (position in ``base``, sign) of each vector's pair representative."""
     position = {g: i for i, g in enumerate(base)}
-    indices = []
-    for v in vectors:
-        rep = _pair_rep(v)
-        indices.append((position[rep], 1 if v == rep else -1))
-    return base, tuple(indices)
+    return tuple((position[_pair_rep(v)], 1 if v == _pair_rep(v) else -1) for v in vectors)
+
+
+def _suspension_base(base: Sequence[Vec]) -> tuple[Vec, ...]:
+    """The vertex ``generator_base`` of the suspension of a self-polar K,
+    from K's: (1, 0) + 0, (0, 1) + 0 and u + v for every vertex v = ±g of K,
+    sorted."""
+    zeros = (ZERO,) * len(base[0])
+    lifted = [PIVOT + v for g in base for v in (g, vneg(g))]
+    return tuple(sorted([(ONE, ZERO) + zeros, (ZERO, ONE) + zeros] + lifted))
 
 
 def equal_weight_certificate(n: int) -> CapacityCertificate:
     """Uniform weights 1/(2n+1) on the induction witness family; the
-    objective is n/(2n+1), so the certified bound is c_EHZ <= 2 + 1/n."""
-    witness = induction_certificate(n)
-    vectors = witness.vertices
-    weight = Fraction(1, 2 * n + 1)
-    coeffs = (weight,) * len(vectors)
-    base, indices = _base_and_indices(vectors)
+    objective is n/(2n+1), so the certified bound is c_EHZ <= 2 + 1/n.
+    The indices refer to the vertex ``generator_base`` of P_n, built from
+    the hexagon's by ``_suspension_base`` with no hull."""
+    vectors = induction_certificate(n).vertices
+    coeffs = (Fraction(1, 2 * n + 1),) * len(vectors)
+    base = generator_base(hexagon(), VERTICES)
+    for _ in range(n - 1):
+        base = _suspension_base(base)
     objective = _double_sum(vectors, coeffs)
-    return CapacityCertificate(VERTICES, indices, coeffs, objective, base)
+    return CapacityCertificate(VERTICES, _indices(base, vectors), coeffs, objective, base)
 
 
 def make_suspension_certificate(
@@ -204,7 +211,9 @@ def make_suspension_certificate(
     The suspension generators are u + v_i together with (0,1) + 0 and
     (-1,0) + 0; with alpha = (c_K - 2)/(3 c_K - 4) the weights
     (1 - 2 alpha) beta_i, alpha, alpha give objective
-    (c_K - 1)/(3 c_K - 4), certifying c_EHZ <= 3 - 1/(c_K - 1).
+    (c_K - 1)/(3 c_K - 4), certifying c_EHZ <= 3 - 1/(c_K - 1).  The
+    indices refer to the suspension's vertex ``generator_base``, built from
+    K's, ``cert_K.generators``, by ``_suspension_base``.
     """
     c_K = Fraction(c_K)
     if cert_K.kind != VERTICES:
@@ -220,12 +229,9 @@ def make_suspension_certificate(
     betas = cert_K.coeffs
     if sum(betas, ZERO) != 1:
         raise CertificateError("certificate weights must sum to 1")
-    vs = cert_K.support_vectors()
-    inner_dim = len(vs[0])
-    zeros = (ZERO,) * inner_dim
-    vectors = [PIVOT + v for v in vs]
-    vectors.append((ZERO, ONE) + zeros)
-    vectors.append((-ONE, ZERO) + zeros)
+    zeros = (ZERO,) * len(cert_K.generators[0])
+    lifted = [PIVOT + v for v in cert_K.support_vectors()]
+    vectors = lifted + [(ZERO, ONE) + zeros, (-ONE, ZERO) + zeros]
     alpha = (c_K - 2) / (3 * c_K - 4)
     coeffs = tuple((1 - 2 * alpha) * b for b in betas) + (alpha, alpha)
     objective = _double_sum(vectors, coeffs)
@@ -234,8 +240,8 @@ def make_suspension_certificate(
         raise CertificateError(
             f"suspension certificate evaluates to {objective}, expected {expected}"
         )
-    base, indices = _base_and_indices(vectors)
-    return CapacityCertificate(VERTICES, indices, coeffs, objective, base)
+    base = _suspension_base(cert_K.generators)
+    return CapacityCertificate(VERTICES, _indices(base, vectors), coeffs, objective, base)
 
 
 # ---------------------------------------------------------------------------

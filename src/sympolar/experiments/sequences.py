@@ -91,14 +91,8 @@ def compare_parity_ratio(n: int) -> Fraction:
 
 
 def sequence_viterbo_ratio(n: int) -> Fraction:
-    """n! vol / (2 + 1/n)^n for the n-fold suspension, via the product form
-    (2n/(2n+1))^n * prod_{k=0}^{n-1} (4k+3)/(4k+2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    value = Fraction(2 * n, 2 * n + 1) ** n
-    for k in range(n):
-        value *= Fraction(4 * k + 3, 4 * k + 2)
-    return value
+    """n! vol / (2 + 1/n)^n for the n-fold suspension."""
+    return factorial(n) * volume_closed_form(n) / Fraction(2 * n + 1, n) ** n
 
 
 def viterbo_step_ratio(n: int) -> Fraction:

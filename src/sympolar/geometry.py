@@ -13,15 +13,20 @@ use.  A vertex is on a facet when the integer dot product of their rows is
 0 and inside it when it is <= 0.  The incidence is computed once per hull,
 by the exact consistency check, and reused by the polar and by
 ``_facets_of``, which reads the faces off it with no rank test for the face
-lattice, the volume and ``from_halfspaces``; the volume's triangulation
-looks for a face's facets only among its parent face's.
+lattice and the volume; the volume's triangulation looks for a face's
+facets only among its parent face's.
 
 Facet enumeration uses incremental insertion of halfspaces in the
-double-description style on the homogenization cone, which is robust under
-the heavy degeneracies of the symmetric polytopes this kernel targets
-(dimension <= 8, a few hundred vertices).  A polytope with the origin
-interior already holds the double-description pair of its polar cone: its
-facet rows are the cone's extreme rays and its incidence their tight sets.
+double-description style, which is robust under the heavy degeneracies of
+the symmetric polytopes this kernel targets (dimension <= 8, a few hundred
+vertices).  The facets <a, x> <= b of the hull of any full-dimensional
+point set, wherever the origin lies, are the extreme rays (a, b) of the
+cone {(a, b) : <a, p> <= b for every point p}, so every hull runs one
+double description on that cone, whose starting basis is also its rank
+test; ``from_halfspaces`` enumerates a region's vertices on its
+homogenization cone and takes their hull.  A hull thus keeps the
+double-description pair of its cone: its facet rows (a, -b) read as (a, b)
+are the cone's extreme rays and its incidence their tight sets.
 Growing it by a few points (``_grow_hull``) therefore starts from that pair
 and inserts only the new points' constraints; the cold start in
 ``vertex_enumeration`` and this warm start share one crossing step
@@ -62,6 +67,7 @@ from typing import Iterable, Sequence
 from sympolar.linalg import (
     SingularMatrixError,
     Vec,
+    as_fraction,
     as_vec,
     bits,
     dehomogenize,
@@ -221,7 +227,7 @@ def _halfspace_rows(halfspaces: Sequence[tuple[Vec, Fraction]], dim: int) -> lis
     if any(is_zero_vec(normal) for normal, _ in halfspaces):
         raise GeometryError("halfspace normal must be nonzero")
     return list(
-        dict.fromkeys(fraction_vec_to_int(as_vec(a) + (-Fraction(b),)) for a, b in halfspaces)
+        dict.fromkeys(fraction_vec_to_int(as_vec(a) + (-as_fraction(b),)) for a, b in halfspaces)
     )
 
 
@@ -345,22 +351,31 @@ def _slab(
 def vertex_enumeration(
     halfspaces: Sequence[tuple[Vec, Fraction]], dim: int, *, integer_rows: bool = False
 ) -> list[Vec] | list[Row]:
-    """Vertices of {x : <a_i, x> <= b_i}, which must be a bounded full-dimensional
-    polytope.  With ``integer_rows`` the halfspaces are distinct primitive
-    integer rows (a, -b) and the vertices come back as homogeneous rows.
+    """Vertices of {x : <a_i, x> <= b_i}, which must be a bounded polytope.
 
     Works on the homogenization cone {(x, t) : b_i t - <a_i, x> >= 0, t >= 0},
     inserting constraints incrementally and maintaining the extreme rays with
     exact integer arithmetic.  Raises UnboundedRegionError when a ray at
     infinity survives and GeometryError when the system cannot describe a
-    full-dimensional bounded body.
+    bounded body.
+
+    With ``integer_rows`` the halfspaces are distinct integer rows h and the
+    result is the extreme rays of the cone {y : h . y <= 0} itself, with no
+    homogenization row: ``convex_hull`` passes the flipped point rows, whose
+    cone's rays are the facets.  The rows must span R^(dim+1); when they do
+    not, their rank r gives DimensionDeficiencyError(dim, r - 1).
     """
-    rows = [tuple(-c for c in f) for f in (halfspaces if integer_rows else _halfspace_rows(halfspaces, dim))]
-    rows.append((0,) * dim + (1,))  # homogenization: t >= 0
+    if integer_rows:
+        rows = [tuple(-c for c in h) for h in halfspaces]
+    else:
+        rows = [tuple(-c for c in h) for h in _halfspace_rows(halfspaces, dim)]
+        rows.append((0,) * dim + (1,))  # homogenization: t >= 0
 
     n = dim + 1
     basis = independent_rows(rows, n)
     if len(basis) < n:
+        if integer_rows:
+            raise DimensionDeficiencyError(dim, len(basis) - 1)
         raise GeometryError(
             "halfspace normals do not span the ambient space (region is "
             "unbounded or lower-dimensional)"
@@ -391,12 +406,14 @@ def vertex_enumeration(
         if not rays:
             raise GeometryError("halfspace system has empty interior")
 
+    if integer_rows:
+        return rays
     for ray in rays:
         if ray[dim] == 0:
             raise UnboundedRegionError("region is unbounded")
         if ray[dim] < 0:
             raise GeometryError("inconsistent homogenization ray")
-    return rays if integer_rows else [dehomogenize(ray) for ray in rays]
+    return [dehomogenize(ray) for ray in rays]
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +452,6 @@ def _tight_pairs(f: Row, rows: Sequence[Row], pairs) -> int:
         if second == 0:
             mask |= 1 << k
     return mask
-
-
-def _incidence(rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...]:
-    """Per facet row, the bitmask of the point rows on it; raises
-    GeometryError when a point lies outside a facet."""
-    return tuple(_tight(f, rows) for f in facet_rows)
 
 
 def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...]:
@@ -530,13 +541,13 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     DimensionDeficiencyError when the points do not affinely span the
     ambient space.
 
-    For an interior point c, the points q of P - c cut out the polar body
-    {u : <q, u> <= 1}, whose vertices u are the facets <u, x - c> <= 1 of P.
-    c is the origin for a symmetric point set and otherwise the centroid of
-    dim+1 affinely independent points, whose denominator stays small.
-    An integer point p has the row (p, 1), made with no ``Fraction``.  The
-    rows go to the double description in input order, which fixes the facet
-    row order, and to the check and the result sorted.
+    The facets <a, x> <= b of the hull are the extreme rays (a, b) of the
+    cone {(a, b) : <a, p> <= b for every point p}, wherever the origin lies;
+    its constraint rows are the point rows (V, d) read as (V, -d), and its
+    rays (a, b) are read back as facet rows (a, -b) (``_flip``).  An integer
+    point p has the row (p, 1), made with no ``Fraction``.  The rows go to
+    the double description in input order, which fixes the facet row order,
+    and to the check and the result sorted.
     """
     rows = list(dict.fromkeys(map(_point_row, points)))
     if not rows:
@@ -544,27 +555,17 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     dim = len(rows[0]) - 1
     if any(len(r) != dim + 1 for r in rows):
         raise GeometryError("points have mixed dimensions")
-    basis = independent_rows(rows, dim + 1)
-    if len(basis) <= dim:
-        raise DimensionDeficiencyError(dim, len(basis) - 1)
     # each point's constraint right after its antipode's keeps the cones of
-    # the double description small; a symmetric set gains no point by it
+    # the double description small; a symmetric set gains no point by it,
+    # and its origin, interior, cuts nothing, so its constraint goes last
     order = list(dict.fromkeys(x for r in rows for x in (r, _antipode(r))))
-    if len(order) == len(rows):  # c = 0 and m = 1: the rows stay primitive
-        shifted, facet_row = [_flip(r) for r in order], _flip
+    if len(order) == len(rows):
+        origin = (0,) * dim + (1,)
+        order.sort(key=origin.__eq__)
     else:
-        scale = lcm(*(rows[i][-1] for i in basis))
-        center = [sum(rows[i][k] * (scale // rows[i][-1]) for i in basis) for k in range(dim)]
-        m = scale * len(basis)  # c = center / m
-        shifted = [primitive([m * x - c * r[-1] for x, c in zip(r, center)] + [-m * r[-1]])
-                   for r in rows]
-
-        def facet_row(u: Row) -> Row:
-            return primitive([m * a for a in u[:-1]] + [-m * u[-1] - int_dot(u[:-1], center)])
-
-    # a point at c is interior; its constraint is vacuous
-    rays = vertex_enumeration([q for q in shifted if any(q[:-1])], dim, integer_rows=True)
-    return _hull_polytope(dim, sorted(rows, key=_row_key), list(map(facet_row, rays)))
+        order = rows
+    rays = vertex_enumeration([_flip(r) for r in order], dim, integer_rows=True)
+    return _hull_polytope(dim, sorted(rows, key=_row_key), [_flip(u) for u in rays])
 
 
 def _hull_polytope(dim: int, rows: list[Row], facet_rows) -> Polytope:
@@ -628,20 +629,10 @@ def _grow_hull(P: Polytope, rows: Sequence[Row]) -> Polytope:
 def from_halfspaces(
     halfspaces: Sequence[tuple[Vec, Fraction]], dim: int
 ) -> Polytope:
-    """Canonical polytope for a bounded full-dimensional halfspace system.
-
-    A facet's tight set is inclusion-maximal among the halfspaces' tight
-    sets, and a redundant halfspace's is a smaller face or empty, so the
-    maximal ones are kept.  A halfspace tight on every vertex is an implicit
-    equality: the region is lower-dimensional."""
-    candidates = _halfspace_rows(halfspaces, dim)
-    rows = vertex_enumeration(candidates, dim, integer_rows=True)
-    incidence = _incidence(rows, candidates)
-    if (1 << len(rows)) - 1 in incidence:
-        raise DimensionDeficiencyError(dim, len(independent_rows(rows)) - 1)
-    facets = set(_maximal(incidence))
-    kept = [(f, mask) for f, mask in zip(candidates, incidence) if mask in facets]
-    return _polytope(dim, rows, *zip(*kept), range(len(rows)))
+    """Canonical polytope for a bounded halfspace system: the hull of the
+    region's vertices, which drops the redundant halfspaces.  Raises
+    DimensionDeficiencyError when the region is lower-dimensional."""
+    return convex_hull(vertex_enumeration(halfspaces, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
 """Exact linear algebra for the polyhedral kernel.
 
 At the API, a point or a normal is a tuple of ``Fraction``s (``as_vec``,
-``dot``).  Inside the kernel, points and hyperplanes are exact integer
-homogeneous rows.  A rational point ``v`` becomes the primitive row
-``(V, d)`` with ``v = V/d`` and ``d > 0`` (``homogeneous``), a halfspace
-``<a, x> <= b`` the primitive row ``(a, -b)``; incidence is then the sign
-of ``int_dot``.
+``dot``), and a float is refused (``as_fraction``).  Inside the kernel,
+points and hyperplanes are exact integer homogeneous rows.  A rational
+point ``v`` becomes the primitive row ``(V, d)`` with ``v = V/d`` and
+``d > 0`` (``homogeneous``), a halfspace ``<a, x> <= b`` the primitive row
+``(a, -b)``; incidence is then the sign of ``int_dot``.
 
 All elimination is on integers, fraction-free in the manner of Bareiss
 (1968), in three routines, each serving its own callers:
 
 - ``independent_rows``, a row echelon that makes each reduced row
-  primitive, for ranks: the affine basis of ``convex_hull``, the double
-  description's starting basis, the hull check's rank test of a facet with
-  more than dim points on it, ``from_halfspaces`` and the general-position
-  test of ``generate``;
+  primitive, for ranks: the double description's starting basis, which is
+  the hull's rank test, the hull check's rank test of a facet with more
+  than dim points on it and the general-position test of ``generate``;
 - ``int_det``, closed forms up to 4 x 4 and Bareiss elimination above, for
   the volume's simplices and the hull check's rank test of a facet with
   exactly dim points on it;
@@ -39,8 +38,16 @@ class SingularMatrixError(ValueError):
     """A linear map that must be invertible is singular."""
 
 
+def as_fraction(value) -> Fraction:
+    """``value`` as a ``Fraction``; a float, whose binary value is seldom
+    the number meant, raises TypeError."""
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not exact; give an int, a Fraction or a 'p/q' string")
+    return Fraction(value)
+
+
 def as_vec(coords: Iterable) -> Vec:
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+    return tuple(c if type(c) is Fraction else as_fraction(c) for c in coords)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -17,8 +17,9 @@ from sympolar.geometry import (
     vertex_enumeration,
     volume,
 )
-from sympolar.linalg import SingularMatrixError, vneg
+from sympolar.linalg import SingularMatrixError, as_vec, fraction_vec_to_int, vneg
 from sympolar.suspension import PIVOT
+from sympolar.symplectic import omega
 
 from conftest import random_point, random_symmetric_polytope
 
@@ -66,6 +67,71 @@ def test_hull_rejects_degenerate_input():
         convex_hull([(0, 0), (1, 1), (2, 2), (-1, -1)])
     assert err.value.affine_dim == 1
     assert err.value.ambient_dim == 2
+    # the rank comes from the double description's starting basis
+    for points, affine_dim in [
+        ([(0, 0)], 0),
+        ([(0, 0, 0), (1, 2, 3), (-1, -2, -3)], 1),
+        ([(1, 2, 0), (-1, -2, 0), (0, 1, 1), (0, -1, -1)], 2),
+    ]:
+        with pytest.raises(DimensionDeficiencyError) as err:
+            convex_hull(points)
+        assert (err.value.ambient_dim, err.value.affine_dim) == (len(points[0]), affine_dim)
+
+
+def _moved(points, s):
+    return [tuple(a + b for a, b in zip(p, s)) for p in points]
+
+
+def test_hull_commutes_with_translation():
+    """convex_hull(S + s) is the hull of S moved by s, for s that puts the
+    origin outside the body, on a facet's hyperplane or at a vertex: the
+    vertices move by s and each facet <a, x> <= b becomes <a, x> <= b + <a, s>."""
+    rng = random.Random(45)
+    seen = set()
+    for trial in range(36):
+        dim = rng.choice((2, 3, 4))
+        symmetric = trial % 2 == 0
+        while True:
+            points = [random_point(rng, dim, span=2) for _ in range(rng.randint(dim + 1, dim + 4))]
+            if symmetric:
+                points += [vneg(p) for p in points]
+            try:
+                P = convex_hull(points)
+                break
+            except DimensionDeficiencyError:
+                continue
+        j = rng.randrange(len(P.facet_rows))
+        a = P.facet_rows[j][:-1]
+        on = [P.vertices[i] for i in range(len(P.rows)) if P.incidence[j] >> i & 1]
+        kind = ("outside", "hyperplane", "vertex")[trial // 2 % 3]
+        if kind == "vertex":
+            q = rng.choice(P.vertices)
+        elif kind == "hyperplane":
+            # an affine combination of the facet's vertices, often past its edges
+            w = [F(rng.randint(-2, 3)) for _ in on]
+            w[0] += 1 - sum(w)
+            q = tuple(sum(c * v[k] for c, v in zip(w, on)) for k in range(dim))
+        else:
+            q = tuple(x + F(rng.randint(1, 3), 2) * c for x, c in zip(on[0], a))
+        s = vneg(q)
+        Q = convex_hull(_moved(points, s))
+        assert Q.vertices == tuple(_moved(P.vertices, s))
+        moved = [
+            fraction_vec_to_int(as_vec(f[:-1]) + (F(f[-1]) - sum(c * x for c, x in zip(f, s)),))
+            for f in P.facet_rows
+        ]
+        assert set(zip(Q.facet_rows, Q.incidence)) == set(zip(moved, P.incidence))
+        assert volume(Q) == volume(P)
+        assert f_vector(Q) == f_vector(P)
+        if kind == "outside":
+            assert not Q.contains((0,) * dim)
+            assert any(f[-1] > 0 for f in Q.facet_rows)  # a facet with offset b < 0
+        elif kind == "hyperplane":
+            assert moved[j][-1] == 0
+        else:
+            assert (0,) * dim + (1,) in Q.rows
+        seen.add((dim, symmetric, kind))
+    assert len(seen) >= 12
 
 
 def test_hull_rejects_mixed_dimensions():
@@ -314,6 +380,21 @@ def test_from_halfspaces_rejects_lower_dimensional_region():
     with pytest.raises(DimensionDeficiencyError) as err:
         from_halfspaces(halfspaces, 2)
     assert err.value.affine_dim == 1
+
+
+def test_floats_are_refused_at_the_api(hexa):
+    # 0.1 would be read at its binary value, 3602879701896397/2^55, where
+    # the file reader refuses a float
+    calls = [
+        lambda: apply_linear([[0.1, 0], [0, 1]], hexa),
+        lambda: convex_hull([(0.1, 0), (0, 1), (-1, -1)]),
+        lambda: hexa.contains((0.1, 0)),
+        lambda: omega((0.1, 0), (0, 1)),
+        lambda: vertex_enumeration([((1, 0), 0.1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)], 2),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="0.1"):
+            call()
 
 
 def test_halfspace_normals_must_match_dim():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sympolar.capacity import equal_weight_certificate, make_suspension_certificate
 from sympolar.cli import run
 from sympolar.io import (
     MalformedInputError,
@@ -11,8 +12,10 @@ from sympolar.io import (
     polytope_to_dict,
     read_certificate_fields,
     read_polytope,
+    write_certificate,
     write_polytope,
 )
+from sympolar.suspension import power_suspend
 
 F = Fraction
 
@@ -113,6 +116,24 @@ def test_cli_ehz_with_certificate(tmp_path, capsys):
     )
     assert code == 0
     assert "c_EHZ <= 5/2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cli_certifies_the_closed_form_certificates(tmp_path, capsys, n):
+    """The closed-form certificates index P_n's canonical generator base,
+    against which the file format and ``certify`` resolve indices."""
+    certificates = [equal_weight_certificate(n)]
+    if n == 3:  # the suspension chain from the hexagon
+        chain = equal_weight_certificate(1)
+        for c_K in (F(3), F(5, 2)):
+            chain = make_suspension_certificate(chain, c_K)
+        certificates.append(chain)
+    write_polytope(tmp_path / "p.json", power_suspend(n))
+    for cert in certificates:
+        write_certificate(tmp_path / "cert.json", cert)
+        capsys.readouterr()
+        assert _call(tmp_path, "certify", str(tmp_path / "p.json"), str(tmp_path / "cert.json")) == 0
+        assert f"c_EHZ <= {2 + F(1, n)}" in capsys.readouterr().out
 
 
 def _write_p2_certificate(tmp_path, indices, coeffs, objective):

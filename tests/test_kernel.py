@@ -22,11 +22,11 @@ from sympolar.geometry import (
     _antipode,
     _check_consistency,
     _crossings,
-    _incidence,
     _mirrored,
     _packed,
     _polytope,
     _row_key,
+    _tight,
     apply_linear,
     convex_hull,
     f_vector,
@@ -99,6 +99,12 @@ def ref_det(matrix):
             factor = work[r][col] / work[col][col]
             work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
     return result
+
+
+def _incidence(rows, facet_rows):
+    """Per facet row, the bitmask of the point rows on it; raises
+    GeometryError when a point lies outside a facet."""
+    return tuple(_tight(f, rows) for f in facet_rows)
 
 
 def ref_facet_vertex_sets(P):
