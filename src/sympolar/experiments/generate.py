@@ -19,7 +19,7 @@ from itertools import combinations
 from pathlib import Path
 
 from sympolar.geometry import Polytope, Row, _antipode, _row_key, convex_hull, volume
-from sympolar.linalg import Vec, dehomogenize, fraction_vec_to_int, independent_rows, vneg
+from sympolar.linalg import Vec, dehomogenize, fraction_vec_to_int, int_det, vneg
 from sympolar.symplectic import _sympolar_rows, expand_step, is_self_polar, omega_rows
 
 log = logging.getLogger(__name__)
@@ -74,13 +74,11 @@ def _sample_point(rng: random.Random, dim: int) -> Vec:
 def _general_position_with(accepted: list[Row], candidate: Row, dim: int) -> bool:
     """Every dim-subset of the points, given as integer rows, must be
     linearly independent, which is general position together with the
-    origin."""
+    origin: dim rows of dim entries are, exactly when their determinant is
+    nonzero."""
     if not any(candidate):
         return False
-    return all(
-        len(independent_rows([*subset, candidate], dim)) == dim
-        for subset in combinations(accepted, dim - 1)
-    )
+    return all(int_det([*subset, candidate]) != 0 for subset in combinations(accepted, dim - 1))
 
 
 def sample_start_points(rng: random.Random, dim: int, k: int) -> list[Vec]:

@@ -14,7 +14,9 @@ use.  A vertex is on a facet when the integer dot product of their rows is
 by the exact consistency check, and reused by the polar and by
 ``_facets_of``, which reads the faces off it with no rank test for the face
 lattice and the volume; the volume's triangulation looks for a face's
-facets only among its parent face's.
+facets only among its parent face's.  A hull grown from P keeps the facets
+of P that no new point cuts, and its check takes their tight sets on P's
+vertices from P's incidence, evaluating them on the new points only.
 
 Facet enumeration uses incremental insertion of halfspaces in the
 double-description style, which is robust under the heavy degeneracies of
@@ -377,8 +379,8 @@ def vertex_enumeration(
         if integer_rows:
             raise DimensionDeficiencyError(dim, len(basis) - 1)
         raise GeometryError(
-            "halfspace normals do not span the ambient space (region is "
-            "unbounded or lower-dimensional)"
+            "halfspace normals do not span the ambient space (the region "
+            "contains a line, so it is unbounded or empty)"
         )
     order = basis + [i for i in range(len(rows)) if i not in set(basis)]
     ordered = [rows[i] for i in order]
@@ -454,7 +456,13 @@ def _tight_pairs(f: Row, rows: Sequence[Row], pairs) -> int:
     return mask
 
 
-def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row]) -> tuple[int, ...]:
+def _check_consistency(
+    dim: int,
+    rows: Sequence[Row],
+    facet_rows: Sequence[Row],
+    known: Sequence[int | None] | None = None,
+    old: int = 0,
+) -> tuple[int, ...]:
     """Check that every point lies inside every facet and that every facet
     is spanned by a (dim-1)-dimensional set of points on it; returns the
     incidence.
@@ -468,28 +476,42 @@ def _check_consistency(dim: int, rows: Sequence[Row], facet_rows: Sequence[Row])
     diag(-1, ..., -1, 1) and so have equal rank.
 
     A facet with exactly dim points on it has its rank certified by one
-    dim x dim determinant; one with more keeps the elimination."""
+    dim x dim determinant; one with more keeps the elimination.
+
+    ``known`` may give, per facet row, its tight set on the rows in the
+    bitmask ``old`` as an earlier check proved it, or None: a grown hull's
+    facet rows carried over from P, with P's incidence (``_grow_hull``).
+    Such a facet is evaluated on the other rows' antipodal pairs only, their
+    tight points join its tight set, and its rank test is skipped, as that
+    set contains one that spans.  Rows that are not mirrored are checked in
+    full."""
     symmetric = _mirrored(rows)
     anti = range(len(rows) - 1, -1, -1)
     pairs = [(i, k, rows[i][:-1], rows[i][-1]) for i, k in enumerate(anti) if symmetric and i <= k]
+    new_pairs = [p for p in pairs if not old >> p[0] & 1]
+    if known is None or not symmetric:
+        known = [None] * len(facet_rows)
     mirror = {f: j for j, f in enumerate(facet_rows)} if symmetric else {}
     incidence: list[int | None] = [None] * len(facet_rows)
     for j, f in enumerate(facet_rows):
         if incidence[j] is not None:
             continue
-        mask = incidence[j] = _tight_pairs(f, rows, pairs) if symmetric else _tight(f, rows)
-        tight = [rows[i] for i in bits(mask)]
-        if len(tight) == dim:
-            # the rows lie in f's orthogonal complement, on which dropping a
-            # column c with f[c] != 0 is injective: rank dim iff det != 0
-            c = next(k for k in range(dim, -1, -1) if f[k])
-            spanned = int_det([r[:c] + r[c + 1 :] for r in tight]) != 0
+        if known[j] is not None:
+            mask = incidence[j] = known[j] | _tight_pairs(f, rows, new_pairs)
         else:
-            spanned = len(independent_rows(tight, dim)) == dim
-        if not spanned:
-            raise GeometryError(
-                f"facet row {f} is not supported by a (dim-1)-dimensional vertex set"
-            )
+            mask = incidence[j] = _tight_pairs(f, rows, pairs) if symmetric else _tight(f, rows)
+            tight = [rows[i] for i in bits(mask)]
+            if len(tight) == dim:
+                # the rows lie in f's orthogonal complement, on which dropping
+                # a column c with f[c] != 0 is injective: rank dim iff det != 0
+                c = next(k for k in range(dim, -1, -1) if f[k])
+                spanned = int_det([r[:c] + r[c + 1 :] for r in tight]) != 0
+            else:
+                spanned = len(independent_rows(tight, dim)) == dim
+            if not spanned:
+                raise GeometryError(
+                    f"facet row {f} is not supported by a (dim-1)-dimensional vertex set"
+                )
         k = mirror.get(_antipode(f))
         if k is not None:
             incidence[k] = sum(1 << anti[i] for i in bits(mask))
@@ -568,11 +590,14 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     return _hull_polytope(dim, sorted(rows, key=_row_key), [_flip(u) for u in rays])
 
 
-def _hull_polytope(dim: int, rows: list[Row], facet_rows) -> Polytope:
+def _hull_polytope(
+    dim: int, rows: list[Row], facet_rows, known: Sequence[int | None] | None = None, old: int = 0
+) -> Polytope:
     """The hull of the point ``rows``, sorted as their points sort, from its
     facet rows: the consistency check of every point against every facet,
-    then the extreme points, which stay sorted."""
-    incidence = _check_consistency(dim, rows, facet_rows)
+    which takes the tight sets ``known`` on the rows ``old`` as proved
+    (``_check_consistency``), then the extreme points, which stay sorted."""
+    incidence = _check_consistency(dim, rows, facet_rows, known, old)
 
     # A point is extreme exactly when the facets through it meet in it alone.
     meet = [-1] * len(rows)
@@ -603,6 +628,12 @@ def _grow_hull(P: Polytope, rows: Sequence[Row]) -> Polytope:
     |<q, u>| <= t (``_slab``), in the given order.  Vertices of P among the
     rows add nothing and are dropped, which keeps the rest mirrored; the
     origin, a middle row, is inside P and adds no constraint.
+
+    A facet row of the hull that equals one of P's is one of P's rays that
+    no slab cut.  P's check proved its tight set on P's vertices, so the
+    hull's check takes that set, renumbered to the merged rows, and
+    evaluates the facet on the new points only; the new rays, which a slab
+    made, are checked in full.
     """
     if not P.symmetric:
         raise GeometryError("the warm start needs a centrally symmetric body")
@@ -623,7 +654,15 @@ def _grow_hull(P: Polytope, rows: Sequence[Row]) -> Polytope:
         rays, masks = _slab(rays, masks, _antipode(r), pair, even, P.dim)
     facet_rows = list(map(_flip, rays))
     # two sorted runs, which the sort merges in linear time
-    return _hull_polytope(P.dim, sorted([*P.rows, *new], key=_row_key), facet_rows)
+    merged = sorted([*P.rows, *new], key=_row_key)
+    position = {r: i for i, r in enumerate(merged)}
+    moved = [1 << position[r] for r in P.rows]  # P's vertex i as a bit of the merged rows
+    verified = dict(zip(P.facet_rows, P.incidence))
+    known = [
+        None if (mask := verified.get(f)) is None else sum(moved[i] for i in bits(mask))
+        for f in facet_rows
+    ]
+    return _hull_polytope(P.dim, merged, facet_rows, known, sum(moved))
 
 
 def from_halfspaces(

@@ -2,14 +2,17 @@ import csv
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from sympolar.experiments.generate import (
+    _general_position_with,
     batch_generate,
     random_selfpolar,
     sample_start_points,
 )
+from sympolar.linalg import independent_rows, int_det
 from sympolar.symplectic import check_subset_sympolar, is_self_polar
 
 F = Fraction
@@ -27,6 +30,37 @@ def test_sample_points_inside_ball_general_position():
 
     for subset in combinations(points, 4):
         assert rank(list(subset)) == 4
+
+
+def test_general_position_determinant_matches_rank():
+    """dim integer rows of dim entries are independent exactly when their
+    determinant is nonzero, so the general-position test decides as a rank
+    test does, on random rows and on rows made dependent on purpose: a
+    combination of others, a repeated row and a zero row."""
+    rng = random.Random(37)
+    ranks, decisions = set(), set()
+    for dim in (2, 4, 6):
+        for _ in range(30):
+            accepted = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)]
+            a, b = rng.sample(accepted, 2)
+            candidates = [
+                tuple(rng.randint(-2**40, 2**40) for _ in range(dim)),
+                tuple(rng.randint(-1, 1) for _ in range(dim)),
+                tuple(2 * x - 3 * y for x, y in zip(a, b)),
+                a,
+                (0,) * dim,
+            ]
+            for candidate in candidates:
+                independent = []
+                for subset in combinations(accepted, dim - 1):
+                    rows = [*subset, candidate]
+                    independent.append(len(independent_rows(rows, dim)) == dim)
+                    assert (int_det(rows) != 0) == independent[-1]
+                expected = any(candidate) and all(independent)
+                assert _general_position_with(accepted, candidate, dim) == expected
+                ranks.update(independent)
+                decisions.add(expected)
+    assert ranks == decisions == {True, False}
 
 
 def test_dim2_run_terminates_at_least_hexagon_volume():

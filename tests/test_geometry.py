@@ -463,6 +463,15 @@ def test_vertex_enumeration_rejects_unbounded():
         vertex_enumeration(halfspaces, 2)
 
 
+def test_vertex_enumeration_rejects_normals_that_do_not_span():
+    from sympolar.geometry import vertex_enumeration
+
+    # |x1| <= 1 in R^2 contains the line x1 = 0
+    halfspaces = [((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1))]
+    with pytest.raises(GeometryError, match="contains a line, so it is unbounded or empty"):
+        vertex_enumeration(halfspaces, 2)
+
+
 def test_vertex_enumeration_rejects_empty():
     from sympolar.geometry import vertex_enumeration
 

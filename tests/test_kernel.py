@@ -22,6 +22,7 @@ from sympolar.geometry import (
     _antipode,
     _check_consistency,
     _crossings,
+    _grow_hull,
     _mirrored,
     _packed,
     _polytope,
@@ -408,6 +409,35 @@ def test_consistency_mirror_matches_full_incidence(p3, generated):
         assert any(tuple(-c for c in f[:-1]) + f[-1:] in P.facet_rows for f in P.facet_rows)
         rows = [homogeneous(p) for p in points]
         assert _check_consistency(P.dim, rows, P.facet_rows) == _incidence(rows, P.facet_rows)
+
+
+def test_consistency_reuses_carried_tight_sets(hexa, generated):
+    """Facet rows whose tight sets on the old rows are given (a grown hull's
+    facet rows carried over from P) are evaluated on the new antipodal pairs
+    only: a new point outside one is named, a new point on one joins its
+    tight set, and the incidence is the full one, also through the warm
+    start."""
+    for P in (hexa, generated):
+        i, j = list(bits(P.incidence[0]))[:2]
+        on = homogeneous(tuple((a + b) / 2 for a, b in zip(P.vertices[i], P.vertices[j])))
+        out = homogeneous(tuple(2 * c for c in P.vertices[i]))  # outside facet row 0
+        for q in (on, out):
+            rows = sorted([*P.rows, q, _antipode(q)], key=_row_key)
+            moved = [rows.index(r) for r in P.rows]
+            known = [sum(1 << moved[k] for k in bits(mask)) for mask in P.incidence]
+            old = sum(1 << k for k in moved)
+            if q == out:
+                with pytest.raises(GeometryError, match="violates") as info:
+                    _check_consistency(P.dim, rows, P.facet_rows, known, old)
+                assert str(dehomogenize(q)) in str(info.value)
+            else:
+                incidence = _check_consistency(P.dim, rows, P.facet_rows, known, old)
+                assert incidence == _incidence(rows, P.facet_rows)
+                assert incidence[0] >> rows.index(q) & 1
+        grown = _grow_hull(P, sorted([on, _antipode(on), out, _antipode(out)], key=_row_key))
+        assert set(grown.facet_rows) & set(P.facet_rows)
+        assert grown.incidence == _incidence(grown.rows, grown.facet_rows)
+        assert grown == convex_hull(list(P.vertices) + [dehomogenize(out), vneg(dehomogenize(out))])
 
 
 # --- the row order -------------------------------------------------------------
