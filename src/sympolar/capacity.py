@@ -1,10 +1,13 @@
 """Ekeland-Hofer-Zehnder capacity of centrally symmetric polytopes.
 
-The reciprocal capacity of a symmetric polytope is the maximum of
+The reciprocal capacity of a symmetric polytope P is the maximum of
 sum_{i<j} beta_i beta_j omega(g_i, g_j) over orderings and signings of its
-facet-normal generators with sum beta_i h(g_i) = 1, beta >= 0; for a
-symplectically self-polar polytope the generators may equivalently be taken
-to be one representative per antipodal vertex pair with sum beta_i = 1.
+facet-normal generators with sum beta_i h(g_i) = 1, beta >= 0.  A symmetric
+body's facets are stored at offset 1, so its unit facet normals, with
+h(g_i) = 1, are the vertices of its polar; for a symplectically self-polar
+polytope the generators may equivalently be taken to be P's own vertices
+(Haim-Kislev 2019).  Either way the generators are one body's vertices, one
+representative per antipodal pair, with sum beta_i = 1.
 
 The search enumerates supports, orderings, and sign patterns exactly; the
 inner maximization over coefficients on each face of the normalized simplex
@@ -30,8 +33,8 @@ from math import factorial, gcd, lcm
 from operator import add, mul, sub
 from typing import Sequence
 
-from sympolar.geometry import Polytope
-from sympolar.linalg import Vec, dot, fraction_vec_to_int, homogeneous, int_adjugate, vneg
+from sympolar.geometry import Polytope, polar_dual
+from sympolar.linalg import Vec, homogeneous, int_adjugate, vneg
 from sympolar.suspension import PIVOT, hexagon, induction_certificate
 from sympolar.symplectic import is_self_polar, omega, omega_rows
 
@@ -107,24 +110,25 @@ def _pair_rep(v: Vec) -> Vec:
     return v if v > neg else neg
 
 
-def generator_base(P: Polytope, kind: str) -> tuple[Vec, ...]:
-    """One canonical representative per antipodal generator pair, the
-    greater of the two, in increasing order.  Negation reverses the sorted
-    vertices, and the facets sorted by normal (offsets all 1), so these are
-    the second half."""
+def _generator_body(P: Polytope, kind: str) -> Polytope:
+    """The body whose vertices are P's generators of ``kind``: P itself, or
+    for facet normals P's polar, whose vertices are P's unit facet normals
+    (no hull: the polar reads P's rows)."""
     if not P.symmetric:
         raise CapacityError("capacity generators need a centrally symmetric body")
     if kind == VERTICES:
-        items = P.vertices
-    elif kind == FACET_NORMALS:
-        items = tuple(f.normal for f in P.facets)
-    else:
-        raise CapacityError(f"unknown generator kind {kind!r}")
+        return P
+    if kind == FACET_NORMALS:
+        return polar_dual(P)
+    raise CapacityError(f"unknown generator kind {kind!r}")
+
+
+def generator_base(P: Polytope, kind: str) -> tuple[Vec, ...]:
+    """One canonical representative per antipodal generator pair, the
+    greater of the two, in increasing order: the second half of the sorted
+    vertices of ``_generator_body``, since negation reverses them."""
+    items = _generator_body(P, kind).vertices
     return items[len(items) // 2 :]
-
-
-def support_value(P: Polytope, direction: Vec) -> Fraction:
-    return max(dot(v, direction) for v in P.vertices)
 
 
 def _double_sum(vectors: Sequence[Vec], coeffs: Sequence[Fraction]) -> Fraction:
@@ -142,30 +146,22 @@ def _double_sum(vectors: Sequence[Vec], coeffs: Sequence[Fraction]) -> Fraction:
 def evaluate_certificate(P: Polytope, cert: CapacityCertificate) -> Fraction:
     """Re-evaluate a certificate against a polytope.
 
-    Checks that the signed generators are genuine vertices (vertices mode,
-    which also needs a symplectically self-polar polytope) or outer facet
-    normals (facet-normals mode), and that the normalization invariant
-    holds; returns the recomputed objective.
+    Checks that every signed generator is a vertex of ``_generator_body``:
+    a vertex of P in vertices mode, which also needs a symplectically
+    self-polar P, or a unit outer facet normal in facet-normals mode, whose
+    support value is 1.  Either way the coefficients must sum to 1.
+    Returns the recomputed objective.
     """
-    vectors = cert.support_vectors()
-    if cert.kind == VERTICES:
-        if not is_self_polar(P):
-            raise CertificateError(
-                "vertex-generator certificates need a symplectically self-polar body"
-            )
-        vertex_set = set(P.rows)
-        for g in vectors:
-            if homogeneous(g) not in vertex_set:
-                raise CertificateError(f"{g} is not a vertex of the polytope")
-        normalization = sum(cert.coeffs, ZERO)
-    else:
-        directions = {fraction_vec_to_int(f.normal) for f in P.facets}
-        for g in vectors:
-            if fraction_vec_to_int(g) not in directions:
-                raise CertificateError(f"{g} is not an outer facet normal")
-        normalization = sum(
-            (c * support_value(P, g) for c, g in zip(cert.coeffs, vectors)), ZERO
+    if cert.kind == VERTICES and not is_self_polar(P):
+        raise CertificateError(
+            "vertex-generator certificates need a symplectically self-polar body"
         )
+    rows = set(_generator_body(P, cert.kind).rows)
+    vectors = cert.support_vectors()
+    for g in vectors:
+        if homogeneous(g) not in rows:
+            raise CertificateError(f"{g} is not among the polytope's {cert.kind} generators")
+    normalization = sum(cert.coeffs, ZERO)
     if normalization != 1:
         raise CertificateError(
             f"certificate normalization is {normalization}, expected 1"
@@ -418,15 +414,11 @@ def ehz_brute_force(
     approximating, before a support that would take it past the budget, so
     an over-budget search fails only after spending its budget.
     """
-    if mode not in (VERTICES, FACET_NORMALS):
-        raise CapacityError(f"unknown search mode {mode!r}")
-    if not P.symmetric:
-        raise CapacityError("capacity search needs a centrally symmetric polytope")
+    base = generator_base(P, mode)
     if mode == VERTICES and not is_self_polar(P):
         raise CapacityError(
             "vertex-generator search needs a symplectically self-polar polytope"
         )
-    base = generator_base(P, mode)
     m = len(base)
     if m < 2:
         raise CapacityError("need at least two generator pairs")
@@ -437,9 +429,8 @@ def ehz_brute_force(
 
     # the normalization weights every coefficient by 1: plain coefficient
     # mass in vertices mode, and in normals mode the support value of each
-    # generator, which is 1 because a symmetric body's facets are stored at
-    # offset 1.  With W = W_int / w_scale, a configuration's value det/(2Q)
-    # comes back as det / (2 w_scale Q)
+    # generator, a unit facet normal.  With W = W_int / w_scale, a
+    # configuration's value det/(2Q) comes back as det / (2 w_scale Q)
     W_int, w_scale = _omega_matrix(base)
     supports = (s for k in range(2, bound + 1) for s in combinations(range(m), k))
     best, (solved, pruned, skipped) = _search(supports, W_int, max_configs)

@@ -62,18 +62,13 @@ def compatibility_adjacency(reps: list[tuple[int, ...]]) -> list[int]:
     return adj
 
 
-def maximal_cliques(adj: list[int], budget: int | None = None):
-    """Pivoting Bron-Kerbosch over bitmask sets, in deterministic order;
-    stops after ``budget`` cliques when a budget is given."""
+def maximal_cliques(adj: list[int]):
+    """Pivoting Bron-Kerbosch over bitmask sets, in deterministic order.
+    The generator is lazy, so a caller with a budget stops drawing."""
     n = len(adj)
-    emitted = 0
 
     def expand(r: int, p: int, x: int):
-        nonlocal emitted
-        if budget is not None and emitted >= budget:
-            return
         if p == 0 and x == 0:
-            emitted += 1
             yield r
             return
         pivot = -1
@@ -85,8 +80,6 @@ def maximal_cliques(adj: list[int], budget: int | None = None):
                 pivot = u
         for v in bits(p & ~adj[pivot]):
             yield from expand(r | (1 << v), p & adj[v], x & adj[v])
-            if budget is not None and emitted >= budget:
-                return
             p &= ~(1 << v)
             x |= 1 << v
 
@@ -120,7 +113,7 @@ def enumerate_pm1(dim: int, budget: int | None = None) -> Pm1Result:
     complete = True
     # one clique past the budget, drawn and not processed, tells whether
     # the enumeration ran out
-    for clique in maximal_cliques(adj, None if budget is None else budget + 1):
+    for clique in maximal_cliques(adj):
         if cliques_seen == budget:
             complete = False
             break

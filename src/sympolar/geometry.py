@@ -740,14 +740,13 @@ def apply_linear(matrix: Sequence[Sequence], P: Polytope) -> Polytope:
 
 
 def gauge_norm(P: Polytope, x: Sequence) -> Fraction:
-    """Minkowski gauge min{t >= 0 : x in tP} of a symmetric body with the
-    origin interior; equals the support function of the polar body."""
+    """Minkowski gauge min{t >= 0 : x in tP} of a symmetric body, whose
+    origin is interior: the support function of the polar body, the largest
+    <y, x> over its vertices y."""
     if not P.symmetric:
         raise GeometryError("gauge is only defined here for symmetric bodies")
-    if not P.origin_interior():
-        raise PolarityDomainError("origin is not interior to the polytope")
     xv = as_vec(x)
-    return max(dot(f.normal, xv) for f in P.facets)
+    return max(dot(y, xv) for y in polar_dual(P).vertices)
 
 
 def volume(P: Polytope) -> Fraction:

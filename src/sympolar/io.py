@@ -56,6 +56,10 @@ def atomic_write_text(path: Path, text: str):
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp creates the file owner-only; give it the mode of a plain open
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

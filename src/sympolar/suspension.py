@@ -19,11 +19,11 @@ from typing import Sequence
 
 from sympolar.geometry import (
     GeometryError,
-    HalfSpace,
     Polytope,
     convex_hull,
     from_halfspaces,
     gauge_norm,
+    polar_dual,
 )
 from sympolar.linalg import Vec, as_vec, homogeneous
 from sympolar.symplectic import is_self_polar, omega
@@ -70,28 +70,25 @@ def suspend_vertices(X: Polytope) -> Polytope:
 
 
 def suspend_halfspaces(X: Polytope) -> Polytope:
-    """Suspension via its facet description, for any symmetric X with the
-    origin interior.
+    """Suspension via its facet description, for any symmetric X.
 
-    Each facet <a, x> <= 1 of X contributes the two halfspaces
-    ±omega(u, v) + <a, x> <= 1 on R^2 x R^{2n}; together with the lifted
-    hexagon facets these cut out exactly the suspension (the two hexagon
-    edges parallel to the omega(u, .) level sets come out redundant and are
-    pruned).
+    Each facet <a, x> <= 1 of X, a a vertex of X's polar, contributes the
+    two halfspaces ±omega(u, v) + <a, x> <= 1 on R^2 x R^{2n}; together
+    with the lifted hexagon facets, the vertices of the hexagon's polar,
+    these cut out exactly the suspension (the two hexagon edges parallel to
+    the omega(u, .) level sets come out redundant and are pruned).
     """
     if not X.symmetric:
         raise GeometryError("suspension needs a centrally symmetric body")
-    if not X.origin_interior():
-        raise GeometryError("suspension needs the origin interior to the body")
     dim = X.dim + 2
     halfspaces: list[tuple[Vec, Fraction]] = []
-    for hs in hexagon().facets:
-        halfspaces.append((hs.normal + (Fraction(0),) * X.dim, hs.offset))
-    for hs in X.facets:
+    for a in polar_dual(hexagon()).vertices:
+        halfspaces.append((a + (Fraction(0),) * X.dim, ONE))
+    for a in polar_dual(X).vertices:
         # omega(u, v) = v2 - v1 for u = (1, 1)
         for eps in (1, -1):
-            normal = (Fraction(-eps), Fraction(eps)) + hs.normal
-            halfspaces.append((normal, hs.offset))
+            normal = (Fraction(-eps), Fraction(eps)) + a
+            halfspaces.append((normal, ONE))
     return from_halfspaces(halfspaces, dim)
 
 

@@ -24,7 +24,6 @@ from sympolar.capacity import (
     evaluate_certificate,
     generator_base,
     make_suspension_certificate,
-    support_value,
 )
 from sympolar.geometry import apply_linear, convex_hull, polar_dual, volume
 from sympolar.suspension import induction_certificate
@@ -83,6 +82,31 @@ def test_evaluate_rejects_non_vertex(hexa):
     cert = _vertex_certificate(vectors, (F(1),), F(0))
     with pytest.raises(CertificateError):
         evaluate_certificate(hexa, cert)
+
+
+def test_evaluate_facet_normals_certificate(hexa):
+    """A facet-normals certificate's signed generators must be unit outer
+    facet normals: the canonical certificate of the search evaluates to its
+    objective, and a vector off the normals is rejected, a positive
+    multiple of a unit normal with its coefficient scaled to match too."""
+    _, cert = ehz_brute_force(hexa)
+    assert cert.kind == "facet-normals"
+    assert evaluate_certificate(hexa, cert) == cert.objective == F(1, 3)
+
+    def variant(g0, c0):
+        i = cert.indices[0][0]
+        generators = list(cert.generators)
+        generators[i] = g0(generators[i])
+        coeffs = (c0(cert.coeffs[0]),) + cert.coeffs[1:]
+        return CapacityCertificate(
+            "facet-normals", cert.indices, coeffs, cert.objective, tuple(generators)
+        )
+
+    not_a_normal = variant(lambda g: (g[0] + 1, g[1]), lambda c: c)
+    doubled = variant(lambda g: tuple(2 * c for c in g), lambda c: c / 2)
+    for bad in (not_a_normal, doubled):
+        with pytest.raises(CertificateError):
+            evaluate_certificate(hexa, bad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -288,6 +312,11 @@ def test_lower_bound_reference(p2, p3, hexa):
 
 
 # --- independent references ---------------------------------------------------
+
+
+def support_value(P, direction):
+    """h_P(g), the largest <v, g> over P's vertices v."""
+    return max(sum(a * b for a, b in zip(v, direction)) for v in P.vertices)
 
 
 def _reference_search(P, bound, mode="facet-normals"):

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,17 @@ def test_polytope_round_trip(tmp_path, hexa, p2):
         path = tmp_path / f"{name}.json"
         write_polytope(path, poly)
         assert read_polytope(path) == poly
+
+
+def test_written_file_gets_the_mode_of_a_plain_open(tmp_path, hexa):
+    """The temp file of an atomic write is created owner-only; the renamed
+    file must have the mode 0o666 & ~umask, as ``open`` would give it."""
+    old = os.umask(0o022)
+    try:
+        write_polytope(tmp_path / "hexa.json", hexa)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "hexa.json").stat().st_mode) == 0o644
 
 
 def test_polytope_dict_shape(hexa):
@@ -102,20 +115,32 @@ def test_cli_power_suspend_volume(tmp_path, capsys):
 
 def test_cli_ehz_with_certificate(tmp_path, capsys):
     _call(tmp_path, "power-suspend", "2", "--out", "p2.json")
-    code = _call(tmp_path, "ehz", str(tmp_path / "p2.json"), "--mode", "vertices")
-    assert code == 0
+    p2 = str(tmp_path / "p2.json")
+    # the vertices mode writes the default certificate path
+    for kind, args, name in (
+        ("vertices", ["--mode", "vertices"], "p2.cert.json"),
+        ("facet-normals", ["--cert", "p2.normals.cert.json"], "p2.normals.cert.json"),
+    ):
+        capsys.readouterr()
+        code = _call(tmp_path, "ehz", p2, *args)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "5/2 (2.5)" in out
+        assert "(<= 5 of 8 generator pairs)" in out
+        cert_path = tmp_path / name
+        assert cert_path.exists()
+        data = json.loads(cert_path.read_text())
+        assert set(data) == {"kind", "indices", "coeffs", "objective"}
+        assert data["kind"] == kind
+        assert data["objective"] == "2/5"
+        code = _call(tmp_path, "certify", p2, str(cert_path))
+        assert code == 0
+        assert "c_EHZ <= 5/2" in capsys.readouterr().out
+    # the complete search in the default mode carries no support-bound note
+    assert _call(tmp_path, "ehz", p2, "--full", "--cert", "p2.full.cert.json") == 0
     out = capsys.readouterr().out
     assert "5/2 (2.5)" in out
-    cert_path = tmp_path / "p2.cert.json"
-    assert cert_path.exists()
-    data = json.loads(cert_path.read_text())
-    assert set(data) == {"kind", "indices", "coeffs", "objective"}
-    assert data["objective"] == "2/5"
-    code = _call(
-        tmp_path, "certify", str(tmp_path / "p2.json"), str(cert_path)
-    )
-    assert code == 0
-    assert "c_EHZ <= 5/2" in capsys.readouterr().out
+    assert "generator pairs" not in out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
