@@ -414,6 +414,10 @@ def ehz_brute_force(
     approximating, before a support that would take it past the budget, so
     an over-budget search fails only after spending its budget.
     """
+    if P.dim % 2 != 0:
+        raise CapacityError(f"symplectic capacity needs even dimension, got {P.dim}")
+    if max_configs < 0:
+        raise CapacityError("configuration budget must be at least 0")
     base = generator_base(P, mode)
     if mode == VERTICES and not is_self_polar(P):
         raise CapacityError(

@@ -12,11 +12,12 @@ All elimination is on integers, fraction-free in the manner of Bareiss
 
 - ``independent_rows``, a row echelon that makes each reduced row
   primitive, for ranks: the double description's starting basis, which is
-  the hull's rank test, the hull check's rank test of a facet with more
-  than dim points on it and the general-position test of ``generate``;
-- ``int_det``, closed forms up to 4 x 4 and Bareiss elimination above, for
-  the volume's simplices and the hull check's rank test of a facet with
-  exactly dim points on it;
+  the hull's rank test, and the hull check's rank test of a facet with
+  more than dim points on it;
+- ``int_det``, a closed form for 4 x 4, the size on the dim-4 workloads,
+  and Bareiss elimination otherwise, for the volume's simplices, the hull
+  check's rank test of a facet with exactly dim points on it and the
+  general-position test of ``generate``;
 - ``int_adjugate``, a Bareiss Gauss-Jordan, for the double description's
   starting rays, the stationary points of the capacity search and the
   inverse transpose of ``apply_linear``.
@@ -134,21 +135,13 @@ def independent_rows(rows: Sequence[Sequence[int]], stop: int | None = None) -> 
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix: a closed form up to 4 x 4, Bareiss
-    fraction-free elimination above.  The 4 x 4 form is the Laplace
-    expansion along rows 0 and 1: each 2 x 2 minor of those rows times the
-    complementary minor of rows 2 and 3."""
+    """Determinant of an integer matrix: a closed form for 4 x 4, the size
+    on the dim-4 workloads, and Bareiss fraction-free elimination otherwise.
+    The 4 x 4 form is the Laplace expansion along rows 0 and 1: each 2 x 2
+    minor of those rows times the complementary minor of rows 2 and 3."""
     n = len(matrix)
     if n == 0:
         return 1
-    if n == 1:
-        return matrix[0][0]
-    if n == 2:
-        (a, b), (c, d) = matrix
-        return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = matrix
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if n == 4:
         (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = matrix
         return (

@@ -5,8 +5,9 @@ consisting of the pairs (v, x) with v in the hexagon and
 |omega(u, v)| + ||x||_X <= 1, where u = (1, 1) is the distinguished hexagon
 vertex.  The vertex route builds the family; it accepts only symplectically
 self-polar X, which keeps the family self-polar.  The halfspace route gives
-the same body for every symmetric X and is the independent construction the
-tests compare it against.
+the same body for every symmetric X as the polar of the hull of its facet
+normals, all at offset 1: built from the facet description, it is the
+independent construction the tests compare the vertex route against.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from sympolar.geometry import (
     GeometryError,
     Polytope,
     convex_hull,
-    from_halfspaces,
     gauge_norm,
     polar_dual,
 )
@@ -75,21 +75,18 @@ def suspend_halfspaces(X: Polytope) -> Polytope:
     Each facet <a, x> <= 1 of X, a a vertex of X's polar, contributes the
     two halfspaces ±omega(u, v) + <a, x> <= 1 on R^2 x R^{2n}; together
     with the lifted hexagon facets, the vertices of the hexagon's polar,
-    these cut out exactly the suspension (the two hexagon edges parallel to
-    the omega(u, .) level sets come out redundant and are pruned).
+    these cut out exactly the suspension.  Every offset is 1, so the
+    suspension is the polar of the hull of these normals (the two hexagon
+    normals parallel to the omega(u, .) level sets lie inside it and drop).
     """
     if not X.symmetric:
         raise GeometryError("suspension needs a centrally symmetric body")
-    dim = X.dim + 2
-    halfspaces: list[tuple[Vec, Fraction]] = []
-    for a in polar_dual(hexagon()).vertices:
-        halfspaces.append((a + (Fraction(0),) * X.dim, ONE))
-    for a in polar_dual(X).vertices:
-        # omega(u, v) = v2 - v1 for u = (1, 1)
-        for eps in (1, -1):
-            normal = (Fraction(-eps), Fraction(eps)) + a
-            halfspaces.append((normal, ONE))
-    return from_halfspaces(halfspaces, dim)
+    zeros = (Fraction(0),) * X.dim
+    # omega(u, v) = v2 - v1 for u = (1, 1)
+    normals = [a + zeros for a in polar_dual(hexagon()).vertices] + [
+        (-eps, eps) + a for a in polar_dual(X).vertices for eps in (ONE, -ONE)
+    ]
+    return polar_dual(convex_hull(normals))
 
 
 def suspension_membership(v: Sequence, x: Sequence, X: Polytope) -> bool:

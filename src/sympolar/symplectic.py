@@ -119,7 +119,10 @@ def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
     and omega(x, -x) = 0, every violating pair (a, b) has one among the
     pairs of the first half at or before it in scan order, with the same
     |omega|; so the scan of that half alone finds the same first pair.
+    Raises GeometryError in odd dimension, where there is no form.
     """
+    if P.dim % 2 != 0:
+        raise GeometryError("symplectic polarity needs even dimension")
     rows = P.rows
     n = len(rows) // 2 if P.symmetric else len(rows)
     for i, x in enumerate(rows[:n]):

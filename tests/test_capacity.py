@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial, lcm
 from pathlib import Path
 
@@ -217,6 +217,26 @@ def test_budget_error():
     with pytest.raises(SearchBudgetError) as err:
         ehz_brute_force(poly, max_configs=1)
     assert err.value.configurations > 1
+
+
+def test_negative_budget_is_a_domain_error(p2):
+    # a budget below 0 is a bad argument, not a search that ran out; 0 is
+    # still a budget stop
+    with pytest.raises(CapacityError, match="budget must be at least 0") as err:
+        ehz_brute_force(p2, max_configs=-5)
+    assert not isinstance(err.value, SearchBudgetError)
+    with pytest.raises(SearchBudgetError):
+        ehz_brute_force(p2, max_configs=0)
+
+
+def test_capacity_needs_even_dimension():
+    # the omega-matrix of odd-length rows would pair the last coordinate
+    # with the homogenizing entry and report a capacity for the 3-cube
+    for dim in (3, 5):
+        cube = convex_hull(list(product((-1, 1), repeat=dim)))
+        for mode in ("facet-normals", "vertices"):
+            with pytest.raises(CapacityError, match="even dimension"):
+                ehz_brute_force(cube, mode=mode)
 
 
 def test_budget_counts_solved_configurations(p2):

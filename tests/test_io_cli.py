@@ -2,6 +2,7 @@ import json
 import os
 import stat
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -323,6 +324,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     # domain error (asymmetric body for capacity) -> 5
     write_polytope(tmp_path / "tri.json", _triangle())
     assert _call(tmp_path, "ehz", str(tmp_path / "tri.json")) == 5
+    # no capacity in odd dimension -> 5, with no value printed
+    cube3 = tmp_path / "cube3.json"
+    cube3.write_text(json.dumps({"dim": 3, "vertices": list(product((-1, 1), repeat=3))}))
+    capsys.readouterr()
+    assert _call(tmp_path, "ehz", str(cube3)) == 5
+    assert capsys.readouterr().out == ""
+    # a negative configuration budget is a domain error, not exhaustion -> 5
+    assert _call(tmp_path, "ehz", str(tmp_path / "p2.json"), "--budget", "-1") == 5
+    assert "configuration budget must be at least 0" in capsys.readouterr().err
     # dim-6 enumeration without budget -> 5
     assert _call(tmp_path, "enumerate-pm1", "--dim", "6") == 5
     # a negative clique budget -> 5, with no table or count printed

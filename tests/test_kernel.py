@@ -31,6 +31,7 @@ from sympolar.geometry import (
     apply_linear,
     convex_hull,
     f_vector,
+    from_halfspaces,
     polar_dual,
     volume,
 )
@@ -616,8 +617,9 @@ def test_int_adjugate_matches_fraction_inverse():
         inverse = invert([[Fraction(c) for c in row] for row in A])
         assert adj == [[det * c for c in row] for row in inverse]
     assert singular > 20
-    # entries of about 300 bits, as in generated bodies; the closed forms up
-    # to 4 x 4 against the Bareiss elimination of the adjugate
+    # entries of about 300 bits, as in generated bodies; the 4 x 4 closed
+    # form and the Bareiss determinant against the Bareiss elimination of
+    # the adjugate
     big = 1 << 300
     for _ in range(100):
         n = rng.randint(1, 6)
@@ -705,12 +707,19 @@ def test_apply_linear_matches_fraction_inverse(p2):
 def test_vertices_are_a_view_of_the_rows_on_every_route(tmp_path, hexa, cross2, p2, generated):
     skew = [[1, F(1, 3), 0, 0], [0, 1, 0, 0], [F(-1, 2), 0, 2, 0], [0, 0, F(1, 5), -1]]
     write_polytope(tmp_path / "p2.json", p2)
+    # the hexagon suspension's halfspaces: the hexagon's facets lifted, and
+    # ±omega(u, v) + <a, x> <= 1, u = (1, 1), for each hexagon facet normal a
+    normals = polar_dual(hexa).vertices
+    hexa_suspension_halfspaces = [(a + (F(0), F(0)), F(1)) for a in normals] + [
+        ((F(-eps), F(eps)) + a, F(1)) for a in normals for eps in (1, -1)
+    ]
     routes = {
         "convex_hull": [hexa, p2, generated],
         "expand_step": [expand_step(cross2, [(1, 1), (-1, -1)])],
         "polar_dual": [polar_dual(p2), polar_dual(generated)],
         "symplectic_polar": [symplectic_polar(p2), symplectic_polar(generated)],
-        "from_halfspaces": [suspend_halfspaces(hexa)],
+        "from_halfspaces": [from_halfspaces(hexa_suspension_halfspaces, 4)],
+        "suspend_halfspaces": [suspend_halfspaces(hexa)],
         "apply_linear": [apply_linear(skew, p2), apply_linear(skew, generated)],
         "read_polytope": [read_polytope(tmp_path / "p2.json")],
     }
@@ -723,6 +732,7 @@ def test_vertices_are_a_view_of_the_rows_on_every_route(tmp_path, hexa, cross2, 
         (routes["expand_step"][0], hexa),
         (routes["symplectic_polar"][0], p2),
         (routes["from_halfspaces"][0], power_suspend(2)),
+        (routes["suspend_halfspaces"][0], power_suspend(2)),
         (routes["read_polytope"][0], p2),
     ]
     for P, Q in same:

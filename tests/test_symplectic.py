@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -113,6 +113,13 @@ def test_sympolar_rejects_asymmetric():
     triangle = convex_hull([(1, 0), (-1, 1), (-1, -2)])
     with pytest.raises(GeometryError):
         symplectic_polar(triangle)
+
+
+def test_subset_check_needs_even_dimension():
+    # with no form in odd dimension, the 3-cube has no witness to report
+    cube3 = convex_hull(list(product((-1, 1), repeat=3)))
+    with pytest.raises(GeometryError, match="even dimension"):
+        check_subset_sympolar(cube3)
 
 
 def test_polar_map_shape():
