@@ -20,6 +20,8 @@ from sympolar import __version__
 from sympolar.capacity import (
     CapacityCertificate,
     DEFAULT_MAX_CONFIGS,
+    FACET_NORMALS,
+    VERTICES,
     CapacityError,
     SearchBudgetError,
     ehz_brute_force,
@@ -70,28 +72,25 @@ def _echo_config(args):
     print(f"config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
 
 
-def _cmd_power_suspend(args) -> int:
-    poly = power_suspend(args.n)
-    out = _out_path(args, args.out or f"p_suspension_{args.n}.json")
+def _write_polytope_out(args, poly, default_name: str) -> int:
+    out = _out_path(args, args.out or default_name)
     write_polytope(out, poly)
     print(f"wrote {out} ({len(poly.vertices)} vertices, dim {poly.dim})")
     return EXIT_OK
+
+
+def _cmd_power_suspend(args) -> int:
+    return _write_polytope_out(args, power_suspend(args.n), f"p_suspension_{args.n}.json")
 
 
 def _cmd_suspend(args) -> int:
     poly = suspend_halfspaces(read_polytope(args.input))
-    out = _out_path(args, args.out or Path(args.input).stem + ".suspended.json")
-    write_polytope(out, poly)
-    print(f"wrote {out} ({len(poly.vertices)} vertices, dim {poly.dim})")
-    return EXIT_OK
+    return _write_polytope_out(args, poly, Path(args.input).stem + ".suspended.json")
 
 
 def _cmd_sympolar(args) -> int:
     poly = symplectic_polar(read_polytope(args.input))
-    out = _out_path(args, args.out or Path(args.input).stem + ".sympolar.json")
-    write_polytope(out, poly)
-    print(f"wrote {out} ({len(poly.vertices)} vertices, dim {poly.dim})")
-    return EXIT_OK
+    return _write_polytope_out(args, poly, Path(args.input).stem + ".sympolar.json")
 
 
 def _cmd_selfpolar_check(args) -> int:
@@ -116,12 +115,8 @@ def _cmd_cj(args) -> int:
 
 def _cmd_ehz(args) -> int:
     poly = read_polytope(args.input)
-    m = len(generator_base(poly, args.mode))
-    bound = None
-    if args.full:
-        bound = m
-    elif args.support_bound is not None:
-        bound = args.support_bound
+    # only --full needs the pair count before the search builds the generators
+    bound = len(generator_base(poly, args.mode)) if args.full else args.support_bound
     capacity, cert = ehz_brute_force(
         poly,
         bound,
@@ -129,6 +124,7 @@ def _cmd_ehz(args) -> int:
         max_configs=args.budget,
     )
     print(_rational(capacity))
+    m = len(cert.generators)
     effective = min(m, poly.dim + 1) if bound is None else min(bound, m)
     if effective < m:
         print(
@@ -192,7 +188,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_enumerate_pm1(args) -> int:
     result = enumerate_pm1(args.dim, args.budget)
-    rep_dir = Path(args.rep_dir) if args.rep_dir else _out_path(args, f"pm1_dim{args.dim}_reps")
+    rep_dir = _out_path(args, args.rep_dir or f"pm1_dim{args.dim}_reps")
     report = []
     for i, cls in enumerate(result.classes):
         rep_file = rep_dir / f"class_{cls.vertex_count}v_{cls.volume.numerator}_{cls.volume.denominator}.json"
@@ -294,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ehz", help="exact EHZ capacity with certificate")
     p.add_argument("input")
-    p.add_argument("--mode", choices=["facet-normals", "vertices"], default="facet-normals")
-    p.add_argument("--support-bound", type=int, default=None)
-    p.add_argument("--full", action="store_true", help="search all support sizes")
+    p.add_argument("--mode", choices=[FACET_NORMALS, VERTICES], default=FACET_NORMALS)
+    bound = p.add_mutually_exclusive_group()
+    bound.add_argument("--support-bound", type=int, default=None)
+    bound.add_argument("--full", action="store_true", help="search all support sizes")
     p.add_argument(
         "--budget",
         type=int,

@@ -15,10 +15,11 @@ import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from io import StringIO
 from itertools import combinations
-from pathlib import Path
 
 from sympolar.geometry import Polytope, Row, _antipode, _row_key, convex_hull, volume
+from sympolar.io import atomic_write_text
 from sympolar.linalg import Vec, dehomogenize, fraction_vec_to_int, int_det, vneg
 from sympolar.symplectic import _sympolar_rows, expand_step, is_self_polar, omega_rows
 
@@ -257,26 +258,25 @@ def batch_generate(
 
 
 def write_batch_csv(path, outcomes):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for seed, rec, msg in outcomes:
-            if rec is None:
-                writer.writerow([seed, "", "", "", "", "", "failed"])
-            else:
-                writer.writerow(
-                    [
-                        rec.seed,
-                        rec.k,
-                        rec.iterations,
-                        str(rec.volume),
-                        repr(float(rec.volume)),
-                        rec.vertex_count,
-                        "true" if rec.self_polar else "false",
-                    ]
-                )
+    text = StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_COLUMNS)
+    for seed, rec, msg in outcomes:
+        if rec is None:
+            writer.writerow([seed, "", "", "", "", "", "failed"])
+        else:
+            writer.writerow(
+                [
+                    rec.seed,
+                    rec.k,
+                    rec.iterations,
+                    str(rec.volume),
+                    repr(float(rec.volume)),
+                    rec.vertex_count,
+                    "true" if rec.self_polar else "false",
+                ]
+            )
+    atomic_write_text(path, text.getvalue())
 
 
 BIN_WIDTH = 0.05  # volume histogram resolution
@@ -285,10 +285,8 @@ SVG_WIDTH, SVG_HEIGHT = 640, 360  # histogram size in pixels
 
 def write_histogram_svg(path, values):
     """Fixed-bin-width volume histogram; values are float renderings only."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if not values:
-        path.write_text('<svg xmlns="http://www.w3.org/2000/svg"/>\n')
+        atomic_write_text(path, '<svg xmlns="http://www.w3.org/2000/svg"/>\n')
         return
     lo_bin = int(min(values) / BIN_WIDTH)
     hi_bin = int(max(values) / BIN_WIDTH)
@@ -328,4 +326,4 @@ def write_histogram_svg(path, values):
             )
     parts.append(f'<text x="{margin}" y="{margin - 10}" font-size="11">count (peak {peak})</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    atomic_write_text(path, "\n".join(parts) + "\n")

@@ -2,7 +2,8 @@
 
 Rationals travel as decimal-free ``"p/q"`` (or plain integer) strings; the
 reader rejects any floating-point literal so no approximate value can leak
-into the exact pipeline.  Writes are atomic (temp file + rename).
+into the exact pipeline.  Every file the program writes goes through
+``atomic_write_text`` (temp file + rename), so no write is left half done.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, lcm
@@ -107,6 +108,30 @@ def test_evaluate_facet_normals_certificate(hexa):
     for bad in (not_a_normal, doubled):
         with pytest.raises(CertificateError):
             evaluate_certificate(hexa, bad)
+
+
+@pytest.mark.parametrize(
+    "kind, indices, coeffs, message",
+    [
+        ("edges", ((0, 1),), (F(1),), "unknown certificate kind"),
+        ("vertices", ((0, 1), (1, 1)), (F(1),), "differ in length"),
+        ("vertices", ((0, 1), (1, 1)), (F(2), F(-1)), "must be nonnegative"),
+        ("vertices", ((3, 1),), (F(1),), r"invalid generator reference \(3, 1\)"),
+    ],
+)
+def test_certificate_rejects_broken_invariants(hexa, kind, indices, coeffs, message):
+    # the hexagon has three generator pairs, so index 3 is out of range
+    base = generator_base(hexa, "vertices")
+    with pytest.raises(CertificateError, match=message):
+        CapacityCertificate(kind, indices, coeffs, F(0), base)
+
+
+def test_evaluate_vertices_certificate_needs_self_polar(square):
+    # the square conv{±1}^2 is centrally symmetric but not self-polar
+    base = generator_base(square, "vertices")
+    cert = CapacityCertificate("vertices", ((0, 1), (1, 1)), (F(1, 2),) * 2, F(0), base)
+    with pytest.raises(CertificateError, match="symplectically self-polar"):
+        evaluate_certificate(square, cert)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -229,6 +254,11 @@ def test_negative_budget_is_a_domain_error(p2):
         ehz_brute_force(p2, max_configs=0)
 
 
+def test_support_bound_below_two_is_rejected(hexa):
+    with pytest.raises(CapacityError, match="support bound must be at least 2"):
+        ehz_brute_force(hexa, support_bound=1)
+
+
 def test_capacity_needs_even_dimension():
     # the omega-matrix of odd-length rows would pair the last coordinate
     # with the homogenizing entry and report a capacity for the 3-cube
@@ -316,6 +346,16 @@ def test_suspension_certificate_objective_mismatch():
     cert = equal_weight_certificate(1)
     with pytest.raises(CertificateError):
         make_suspension_certificate(cert, F(4))
+
+
+def test_suspension_certificate_rejects_normals_and_unnormalized_weights(hexa):
+    _, normals = ehz_brute_force(hexa)
+    with pytest.raises(CertificateError, match="vertex-generator certificate"):
+        make_suspension_certificate(normals, F(3))
+    cert = equal_weight_certificate(1)
+    doubled = replace(cert, coeffs=tuple(2 * c for c in cert.coeffs))
+    with pytest.raises(CertificateError, match="weights must sum to 1"):
+        make_suspension_certificate(doubled, F(3))
 
 
 def test_brutal_search_agrees_with_certified_bound(hexa):

@@ -3,6 +3,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from sympolar.experiments.generate import (
     batch_generate,
     random_selfpolar,
     sample_start_points,
+    write_batch_csv,
 )
 from sympolar.linalg import independent_rows, int_det
 from sympolar.symplectic import check_subset_sympolar, is_self_polar
@@ -149,6 +151,20 @@ def test_batch_csv_and_svg(tmp_path):
     assert abs(float(exact) - float(rows[1][4])) < 1e-12
     svg = svg_path.read_text()
     assert svg.startswith("<svg") and "</svg>" in svg
+
+
+def test_batch_csv_keeps_the_old_file_when_a_row_fails(tmp_path):
+    """The CSV is built in memory and renamed into place, so a row that
+    fails to format leaves the previous file whole and no temp file."""
+    path = tmp_path / "batch.csv"
+    path.write_text("old content\n")
+    broken = SimpleNamespace(
+        seed=0, k=4, iterations=1, volume="not a number", vertex_count=6, self_polar=True
+    )
+    with pytest.raises(ValueError):
+        write_batch_csv(path, [(0, broken, None)])
+    assert path.read_text() == "old content\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_batch_single_run_no_histogram(tmp_path):

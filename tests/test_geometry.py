@@ -78,6 +78,11 @@ def test_hull_rejects_degenerate_input():
         assert (err.value.ambient_dim, err.value.affine_dim) == (len(points[0]), affine_dim)
 
 
+def test_hull_rejects_empty_input():
+    with pytest.raises(GeometryError, match="no points given"):
+        convex_hull([])
+
+
 def _moved(points, s):
     return [tuple(a + b for a, b in zip(p, s)) for p in points]
 

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from sympolar.capacity import equal_weight_certificate, make_suspension_certific
 from sympolar.cli import run
 from sympolar.io import (
     MalformedInputError,
+    certificate_fields_from_dict,
     parse_rational,
     polytope_from_dict,
     polytope_to_dict,
@@ -64,6 +66,46 @@ def test_polytope_dict_shape(hexa):
     assert data["dim"] == 2
     assert data["vertices"][0] == ["-1", "-1"]
     assert polytope_from_dict(data) == hexa
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "must be an object"),
+        ({"dim": 2}, "missing field"),
+        ({"dim": 0, "vertices": [["1"]]}, "invalid dimension"),
+        ({"dim": True, "vertices": [["1"]]}, "invalid dimension"),
+        ({"dim": 2, "vertices": []}, "nonempty vertex list"),
+    ],
+)
+def test_polytope_from_dict_rejects(data, message):
+    with pytest.raises(MalformedInputError, match=message):
+        polytope_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "must be an object"),
+        ({}, "missing field"),
+        (
+            {"kind": "edges", "indices": [], "coeffs": [], "objective": "0"},
+            "unknown certificate kind",
+        ),
+        (
+            {
+                "kind": "vertices",
+                "indices": [{"index": 0, "sign": 1}],
+                "coeffs": ["1/2", "1/2"],
+                "objective": "0",
+            },
+            "counts differ",
+        ),
+    ],
+)
+def test_certificate_fields_from_dict_rejects(data, message):
+    with pytest.raises(MalformedInputError, match=message):
+        certificate_fields_from_dict(data)
 
 
 def test_reader_rejects_floats(tmp_path):
@@ -144,6 +186,21 @@ def test_cli_ehz_with_certificate(tmp_path, capsys):
     assert "generator pairs" not in out
 
 
+def test_cli_ehz_support_bound(tmp_path, capsys):
+    _call(tmp_path, "power-suspend", "2", "--out", "p2.json")
+    p2 = str(tmp_path / "p2.json")
+    capsys.readouterr()
+    assert _call(tmp_path, "ehz", p2, "--support-bound", "4", "--cert", "b4.json") == 0
+    out = capsys.readouterr().out
+    assert "8/3 (2.6666666666666665)" in out
+    assert "(<= 4 of 8 generator pairs)" in out
+    # the complete search and a support bound exclude each other
+    argv = ["ehz", p2, "--full", "--support-bound", "3", "--cert", "conflict.json"]
+    assert _call(tmp_path, *argv) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "conflict.json").exists()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cli_certifies_the_closed_form_certificates(tmp_path, capsys, n):
     """The closed-form certificates index P_n's canonical generator base,
@@ -185,6 +242,17 @@ def test_cli_certify_rejects_objective_that_bounds_nothing(tmp_path, capsys, ind
     captured = capsys.readouterr()
     assert "certified upper bound" not in captured.out
     assert f"objective {objective} is not positive" in captured.err
+
+
+def test_cli_certify_rejects_a_stored_objective_that_does_not_re_evaluate(tmp_path, capsys):
+    write_polytope(tmp_path / "p2.json", power_suspend(2))
+    # the equal-weight certificate of P_2 re-evaluates to 2/5
+    wrong = replace(equal_weight_certificate(2), objective=F(1, 3))
+    write_certificate(tmp_path / "cert.json", wrong)
+    assert _call(tmp_path, "certify", str(tmp_path / "p2.json"), str(tmp_path / "cert.json")) == 5
+    captured = capsys.readouterr()
+    assert "certified upper bound" not in captured.out
+    assert "stored objective 1/3 does not match re-evaluation 2/5" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -287,6 +355,20 @@ def test_cli_enumerate_pm1_dim2(tmp_path, capsys):
     assert report[0]["vertices"] == 6
     assert report[0]["volume"] == "3"
     assert report[0]["count"] == 2
+
+
+def test_cli_enumerate_pm1_places_a_relative_rep_dir_under_out_dir(tmp_path, monkeypatch, capsys):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    out_dir = tmp_path / "out"
+    argv = ["--out-dir", str(out_dir), "enumerate-pm1", "--dim", "2", "--rep-dir", "reps"]
+    assert run(argv) == 0
+    rep = out_dir / "reps" / "class_6v_3_1.json"
+    assert rep.exists()
+    report = json.loads((out_dir / "pm1_dim2.json").read_text())
+    assert [entry["representative_file"] for entry in report] == [str(rep)]
+    assert not list(cwd.iterdir())
 
 
 def test_cli_table1_budgeted(tmp_path, capsys):
