@@ -134,11 +134,7 @@ def generator_base(P: Polytope, kind: str) -> tuple[Vec, ...]:
 def _double_sum(vectors: Sequence[Vec], coeffs: Sequence[Fraction]) -> Fraction:
     total = ZERO
     for i in range(len(vectors)):
-        if coeffs[i] == 0:
-            continue
         for j in range(i + 1, len(vectors)):
-            if coeffs[j] == 0:
-                continue
             total += coeffs[i] * coeffs[j] * omega(vectors[i], vectors[j])
     return total
 

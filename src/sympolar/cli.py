@@ -75,7 +75,7 @@ def _echo_config(args):
 def _write_polytope_out(args, poly, default_name: str) -> int:
     out = _out_path(args, args.out or default_name)
     write_polytope(out, poly)
-    print(f"wrote {out} ({len(poly.vertices)} vertices, dim {poly.dim})")
+    print(f"wrote {out} ({len(poly.rows)} vertices, dim {poly.dim})")
     return EXIT_OK
 
 
@@ -189,6 +189,7 @@ def _cmd_generate(args) -> int:
 def _cmd_enumerate_pm1(args) -> int:
     result = enumerate_pm1(args.dim, args.budget)
     rep_dir = _out_path(args, args.rep_dir or f"pm1_dim{args.dim}_reps")
+    out = _out_path(args, args.out or f"pm1_dim{args.dim}.json")
     report = []
     for i, cls in enumerate(result.classes):
         rep_file = rep_dir / f"class_{cls.vertex_count}v_{cls.volume.numerator}_{cls.volume.denominator}.json"
@@ -198,14 +199,13 @@ def _cmd_enumerate_pm1(args) -> int:
                 "vertices": cls.vertex_count,
                 "volume": str(cls.volume),
                 "count": cls.count,
-                "representative_file": str(rep_file),
+                "representative_file": os.path.relpath(rep_file, out.parent),
             }
         )
         print(
             f"class {i}: {cls.vertex_count} vertices, volume {_rational(cls.volume)}, "
             f"{cls.count} cliques"
         )
-    out = _out_path(args, args.out or f"pm1_dim{args.dim}.json")
     atomic_write_text(out, json.dumps(report, indent=1) + "\n")
     status = "complete" if result.complete else "PARTIAL (budget hit)"
     print(

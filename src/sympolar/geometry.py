@@ -17,6 +17,8 @@ lattice and the volume; the volume's triangulation looks for a face's
 facets only among its parent face's.  A hull grown from P keeps the facets
 of P that no new point cuts, and its check takes their tight sets on P's
 vertices from P's incidence, evaluating them on the new points only.
+The volume of every body is one sum of signed cones from the origin over
+its facets, each facet triangulated by pulling.
 
 Facet enumeration uses incremental insertion of halfspaces in the
 double-description style, which is robust under the heavy degeneracies of
@@ -51,8 +53,8 @@ facet row on an antipodal pair (V, d), (-V, d) with one product <a, V>.
 The mirror facet (-a, -b) of a facet row (a, -b) satisfies
 (-a, -b) . (V, d) = (a, -b) . (-V, d), so the check tests each such pair
 of facets once and maps the tight set through the antipodes.  And the
-volume of a symmetric body is twice that of the cones from the origin over
-one facet of each mirror pair.
+volume's sum of a symmetric body takes one facet of each mirror pair,
+twice.
 
 Vertices sort as their points sort; rows are compared without
 ``Fraction``s or a common denominator (``_row_cmp``).
@@ -411,10 +413,8 @@ def vertex_enumeration(
     if integer_rows:
         return rays
     for ray in rays:
-        if ray[dim] == 0:
+        if ray[dim] == 0:  # every ray keeps t >= 0, one of the rows
             raise UnboundedRegionError("region is unbounded")
-        if ray[dim] < 0:
-            raise GeometryError("inconsistent homogenization ray")
     return [dehomogenize(ray) for ray in rays]
 
 
@@ -750,43 +750,32 @@ def gauge_norm(P: Polytope, x: Sequence) -> Fraction:
 
 
 def volume(P: Polytope) -> Fraction:
-    """Exact Lebesgue volume, by a pulling triangulation: fan from the
-    lexicographically smallest vertex of every face over its recursively
-    triangulated facets, one determinant per simplex.  The determinant of a
-    simplex's homogeneous vertex rows (V_i, d_i) is d_0 ... d_dim times that
-    of its edge vectors.
+    """Exact Lebesgue volume as signed cones from the origin over the
+    facets, wherever the origin lies: the sum over facets <a, x> <= b of
+    sign(b) vol(conv(0, F)) (Bueler, Enge & Fukuda, 2000).  A facet through
+    the origin bounds a flat cone, of determinant 0.  Each facet is
+    triangulated by pulling, through one memo, and the cone over a simplex
+    with rows (V_i, d_i) has volume |det(V_1, ..., V_dim)| / (d_1 ... d_dim dim!).
+    Mirror facets (a, -b), (-a, -b) of a symmetric P bound congruent cones,
+    so its volume is twice the cones' over one facet of each mirror pair.
 
-    A symmetric P is the union of the cones from the origin over its facets,
-    and mirror facets (a, -b), (-a, -b) bound congruent cones, so its volume
-    is twice the cones' over one facet of each mirror pair, triangulated
-    through one memo.  The cone over a simplex with rows (V_i, d_i) has
-    volume |det(V_1, ..., V_dim)| / (d_1 ... d_dim dim!).
-
-    The integer determinants are summed per denominator product, and these
-    sums, as ``Fraction``s, pairwise in a balanced tree, so that the
+    The signed integer determinants are summed per denominator product, and
+    these sums, as ``Fraction``s, pairwise in a balanced tree, so that the
     summands stay about one size."""
     memo: dict[int, list[tuple[int, ...]]] = {}
-    if P.symmetric:
-        # the mirror of every facet row is a facet row, and differs from it
-        simplices = [
-            s
-            for f, mask in zip(P.facet_rows, P.incidence)
-            if f > _antipode(f)
-            for s in _pulling_triangulation(P.incidence, mask, P.dim - 1, memo)
-        ]
-        end, scale = -1, 2  # drop d_i: the cone's apex is the origin
-    else:
-        simplices = _pulling_triangulation(P.incidence, (1 << len(P.rows)) - 1, P.dim, memo)
-        end, scale = None, 1
-    sums: dict[int, int] = {}  # denominator product -> sum of |det|
-    for simplex in simplices:
-        corners = [P.rows[i] for i in simplex]
-        d = prod(r[-1] for r in corners)
-        sums[d] = sums.get(d, 0) + abs(int_det([r[:end] for r in corners]))
+    sums: dict[int, int] = {}  # denominator product -> signed sum of |det|
+    for f, mask in zip(P.facet_rows, P.incidence):
+        if P.symmetric and f < _antipode(f):  # its mirror, a distinct facet row, counts it
+            continue
+        sign = 1 if f[-1] < 0 else -1  # the sign of b in f = (a, -b)
+        for simplex in _pulling_triangulation(P.incidence, mask, P.dim - 1, memo):
+            corners = [P.rows[i] for i in simplex]
+            d = prod(r[-1] for r in corners)
+            sums[d] = sums.get(d, 0) + sign * abs(int_det([r[:-1] for r in corners]))
     terms = [Fraction(n, d) for d, n in sums.items()]
     while len(terms) > 1:  # an odd one out moves up a level as it is
         terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
-    return scale * terms[0] / factorial(P.dim)
+    return (2 if P.symmetric else 1) * terms[0] / factorial(P.dim)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

@@ -110,6 +110,22 @@ def test_evaluate_facet_normals_certificate(hexa):
             evaluate_certificate(hexa, bad)
 
 
+def test_zero_coefficient_generator_leaves_the_objective(p2):
+    """A generator at coefficient 0 adds nothing to the double sum, wherever
+    it stands in the ordering."""
+    _, cert = ehz_brute_force(p2)
+    extra = (0, -cert.indices[0][1])
+    for at in range(len(cert.indices) + 1):
+        padded = CapacityCertificate(
+            cert.kind,
+            cert.indices[:at] + (extra,) + cert.indices[at:],
+            cert.coeffs[:at] + (F(0),) + cert.coeffs[at:],
+            cert.objective,
+            cert.generators,
+        )
+        assert evaluate_certificate(p2, padded) == cert.objective == evaluate_certificate(p2, cert)
+
+
 @pytest.mark.parametrize(
     "kind, indices, coeffs, message",
     [

@@ -4,6 +4,7 @@ import stat
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -367,8 +368,23 @@ def test_cli_enumerate_pm1_places_a_relative_rep_dir_under_out_dir(tmp_path, mon
     rep = out_dir / "reps" / "class_6v_3_1.json"
     assert rep.exists()
     report = json.loads((out_dir / "pm1_dim2.json").read_text())
-    assert [entry["representative_file"] for entry in report] == [str(rep)]
+    assert [entry["representative_file"] for entry in report] == ["reps/class_6v_3_1.json"]
     assert not list(cwd.iterdir())
+
+
+def test_cli_enumerate_pm1_report_is_relative_to_its_directory(tmp_path, monkeypatch, capsys):
+    """The report names each representative relative to its own directory,
+    so two output directories give the same report bytes."""
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for out_dir in ("a", str(tmp_path / "b" / "c")):
+        assert run(["--out-dir", out_dir, "enumerate-pm1", "--dim", "2"]) == 0
+        report = Path(out_dir) / "pm1_dim2.json"
+        entry = json.loads(report.read_text())[0]
+        assert (report.parent / entry["representative_file"]).exists()
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"pm1_dim2_reps/class_6v_3_1.json"' in reports[0]
 
 
 def test_cli_table1_budgeted(tmp_path, capsys):

@@ -244,7 +244,7 @@ def test_polar_incidence_is_transposed(generated):
 
 def test_volume_branches_match_reference(p2):
     """A symmetric body's volume is twice the cones over one facet of each
-    mirror pair; any other body's is the fan from its lowest vertex."""
+    mirror pair; any other body's is the signed cones over all its facets."""
     table1 = [c.representative for c in enumerate_pm1(4).classes]
     # vertex 4-i is the antipode of vertex i but for the middle one
     pentagon = convex_hull([(-2, 0), (-1, -2), (0, 3), (1, 2), (2, 0)])
@@ -254,6 +254,45 @@ def test_volume_branches_match_reference(p2):
     for P in table1 + [p2] + asymmetric:
         assert volume(P) == ref_volume(P)
     assert [volume(P) for P in table1] == [F(7, 2), F(11, 3), F(23, 6), F(4)]
+
+
+def _off_centre_bodies():
+    """Bodies in dims 2-4 whose origin is strictly outside (random points
+    shifted by +3 and by -5, the cube [1, 2]^4) or is a vertex (the same
+    points moved so that one of them is the origin, the simplex
+    conv{0, e1, e2, e3})."""
+    rng = random.Random(2511)
+    outside, at_vertex = [convex_hull(list(product((1, 2), repeat=4)))], []
+    e = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    at_vertex.append(convex_hull([(0, 0, 0)] + e))
+    for dim in (2, 3, 4):
+        for shift in (3, -5):
+            while True:
+                pts = [random_point(rng, dim, span=2) for _ in range(dim + 4)]
+                try:
+                    P = convex_hull([tuple(c + shift for c in p) for p in pts])
+                    Q = convex_hull([tuple(c - o for c, o in zip(p, pts[0])) for p in pts])
+                except GeometryError:
+                    continue
+                if (0,) * dim in Q.vertices:
+                    break
+            outside.append(P)
+            at_vertex.append(Q)
+    return outside, at_vertex
+
+
+def test_volume_with_the_origin_outside_or_at_a_vertex():
+    """The cones over facets whose b is negative are subtracted, and those
+    over facets through the origin are flat: both agree with the reference
+    triangulation of the whole body."""
+    outside, at_vertex = _off_centre_bodies()
+    assert all(any(f[-1] > 0 for f in P.facet_rows) for P in outside)
+    assert all(any(f[-1] == 0 for f in P.facet_rows) for P in at_vertex)
+    assert {P.dim for P in outside} == {P.dim for P in at_vertex} == {2, 3, 4}
+    for P in outside + at_vertex:
+        assert volume(P) == ref_volume(P)
+    assert volume(outside[0]) == 1
+    assert volume(at_vertex[0]) == F(1, 6)
 
 
 def test_volume_pools_from_parent_faces():
