@@ -34,7 +34,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from sympolar.geometry import Polytope, polar_dual
-from sympolar.linalg import Vec, homogeneous, int_adjugate, vneg
+from sympolar.linalg import Vec, as_fraction, homogeneous, int_adjugate, vneg
 from sympolar.suspension import PIVOT, hexagon, induction_certificate
 from sympolar.symplectic import is_self_polar, omega, omega_rows
 
@@ -89,6 +89,9 @@ class CapacityCertificate:
     def __post_init__(self):
         if self.kind not in (VERTICES, FACET_NORMALS):
             raise CertificateError(f"unknown certificate kind {self.kind!r}")
+        # ints and 'p/q' strings lift to Fractions; a float raises TypeError
+        object.__setattr__(self, "coeffs", tuple(map(as_fraction, self.coeffs)))
+        object.__setattr__(self, "objective", as_fraction(self.objective))
         if len(self.indices) != len(self.coeffs):
             raise CertificateError("indices and coefficients differ in length")
         if any(c < 0 for c in self.coeffs):
@@ -207,7 +210,7 @@ def make_suspension_certificate(
     indices refer to the suspension's vertex ``generator_base``, built from
     K's, ``cert_K.generators``, by ``_suspension_base``.
     """
-    c_K = Fraction(c_K)
+    c_K = as_fraction(c_K)
     if cert_K.kind != VERTICES:
         raise CertificateError("suspension lift needs a vertex-generator certificate")
     if c_K <= 2:

@@ -48,8 +48,9 @@ polar cone's rays in mirror pairs and cuts it by each new antipodal pair
 of points at once, as one slab whose second half is the mirror of the
 first.  The hull sorts its rows once, and negation reverses the order of
 points, so row N-1-i is the antipode of row i (``_mirrored``): the warm
-start reads its pairs off them, and the consistency check evaluates a
-facet row on an antipodal pair (V, d), (-V, d) with one product <a, V>.
+start reads its pairs off them, and the consistency check's one
+evaluator, which takes a point row alone or with its antipode, reads a
+facet row's values on a pair (V, d), (-V, d) off one product <a, V>.
 The mirror facet (-a, -b) of a facet row (a, -b) satisfies
 (-a, -b) . (V, d) = (a, -b) . (-V, d), so the check tests each such pair
 of facets once and maps the tight set through the antipodes.  And the
@@ -422,29 +423,20 @@ def vertex_enumeration(
 # Canonical construction.
 
 
-def _tight(f: Row, rows: Sequence[Row]) -> int:
-    """The bitmask of the point rows on the facet row ``f``; raises
-    GeometryError when a point lies outside it."""
-    mask = 0
-    for i, r in enumerate(rows):
-        s = int_dot(f, r)
-        if s > 0:
-            raise GeometryError(f"vertex {dehomogenize(r)} violates facet row {f}")
-        if s == 0:
-            mask |= 1 << i
-    return mask
-
-
-def _tight_pairs(f: Row, rows: Sequence[Row], pairs) -> int:
-    """``_tight`` on a symmetric point set given as ``pairs`` (i, k, V, d)
-    of a point row (V, d) at index i and its antipode at k: the facet row
-    f = (a, -b) takes the values s - bd and -s - bd on them, s = <a, V>."""
+def _tight(f: Row, rows: Sequence[Row], pairs) -> int:
+    """The bitmask of the point rows on the facet row f = (a, -b), given as
+    ``pairs`` (i, k, V, d): the point row (V, d) at index i and k, the index
+    of its antipode (-V, d) among the rows, or None.  One product
+    s = <a, V> gives f's value u + s on the point, u = -bd, and when k is
+    set u - s on its antipode; raises GeometryError when a point lies
+    outside f."""
     a, c = f[:-1], f[-1]
     mask = 0
     for i, k, V, d in pairs:
         s = int_dot(a, V)
         u = c * d
-        first, second = u + s, u - s
+        # an unpaired point has no second value: -1 is neither on nor outside f
+        first, second = u + s, -1 if k is None else u - s
         if first > 0 or second > 0:
             raise GeometryError(
                 f"vertex {dehomogenize(rows[i if first > 0 else k])} violates facet row {f}"
@@ -467,13 +459,14 @@ def _check_consistency(
     is spanned by a (dim-1)-dimensional set of points on it; returns the
     incidence.
 
-    When the rows are mirrored (``_mirrored``), as symmetric rows sorted as
-    their points sort are, one product <a, V> per antipodal pair (V, d),
-    (-V, d) gives the values of a facet row (a, -b) on both points
-    (``_tight_pairs``).  And the mirror (-a, -b) of a facet row is checked
-    with it: (-a, -b) . r = (a, -b) . r' for the antipode r' of r, so its
-    tight set is the antipodes of the other's, whose rows differ by
-    diag(-1, ..., -1, 1) and so have equal rank.
+    One evaluator, ``_tight``, takes every tight set.  When the rows are
+    mirrored (``_mirrored``), as symmetric rows sorted as their points sort
+    are, row i is paired with its antipode, row N-1-i, and one product
+    <a, V> gives the values of a facet row (a, -b) on both points; otherwise
+    each unpaired row takes one product.  And the mirror (-a, -b) of a facet
+    row of mirrored rows is checked with it: (-a, -b) . r = (a, -b) . r' for
+    the antipode r' of r, so its tight set is the antipodes of the other's,
+    whose rows differ by diag(-1, ..., -1, 1) and so have equal rank.
 
     A facet with exactly dim points on it has its rank certified by one
     dim x dim determinant; one with more keeps the elimination.
@@ -481,15 +474,14 @@ def _check_consistency(
     ``known`` may give, per facet row, its tight set on the rows in the
     bitmask ``old`` as an earlier check proved it, or None: a grown hull's
     facet rows carried over from P, with P's incidence (``_grow_hull``).
-    Such a facet is evaluated on the other rows' antipodal pairs only, their
-    tight points join its tight set, and its rank test is skipped, as that
-    set contains one that spans.  Rows that are not mirrored are checked in
-    full."""
+    Such a facet is evaluated on the other rows' pairs only, their tight
+    points join its tight set, and its rank test is skipped, as that set
+    contains one that spans."""
     symmetric = _mirrored(rows)
-    anti = range(len(rows) - 1, -1, -1)
-    pairs = [(i, k, rows[i][:-1], rows[i][-1]) for i, k in enumerate(anti) if symmetric and i <= k]
+    anti = range(len(rows) - 1, -1, -1) if symmetric else [None] * len(rows)
+    pairs = [(i, k, rows[i][:-1], rows[i][-1]) for i, k in enumerate(anti) if k is None or i <= k]
     new_pairs = [p for p in pairs if not old >> p[0] & 1]
-    if known is None or not symmetric:
+    if known is None:
         known = [None] * len(facet_rows)
     mirror = {f: j for j, f in enumerate(facet_rows)} if symmetric else {}
     incidence: list[int | None] = [None] * len(facet_rows)
@@ -497,9 +489,9 @@ def _check_consistency(
         if incidence[j] is not None:
             continue
         if known[j] is not None:
-            mask = incidence[j] = known[j] | _tight_pairs(f, rows, new_pairs)
+            mask = incidence[j] = known[j] | _tight(f, rows, new_pairs)
         else:
-            mask = incidence[j] = _tight_pairs(f, rows, pairs) if symmetric else _tight(f, rows)
+            mask = incidence[j] = _tight(f, rows, pairs)
             tight = [rows[i] for i in bits(mask)]
             if len(tight) == dim:
                 # the rows lie in f's orthogonal complement, on which dropping
@@ -741,12 +733,15 @@ def apply_linear(matrix: Sequence[Sequence], P: Polytope) -> Polytope:
 
 def gauge_norm(P: Polytope, x: Sequence) -> Fraction:
     """Minkowski gauge min{t >= 0 : x in tP} of a symmetric body, whose
-    origin is interior: the support function of the polar body, the largest
-    <y, x> over its vertices y."""
+    origin is interior: the largest <a, x>/b over its facets <a, x> <= b,
+    all with b > 0, read off the facet rows (a, -b) as <a, X>/(bD) for
+    x = X/D."""
     if not P.symmetric:
         raise GeometryError("gauge is only defined here for symmetric bodies")
-    xv = as_vec(x)
-    return max(dot(y, xv) for y in polar_dual(P).vertices)
+    if len(x) != P.dim:
+        raise ValueError(f"dimension mismatch: {P.dim} vs {len(x)}")
+    *X, D = _point_row(x)
+    return max(Fraction(int_dot(f[:-1], X), -f[-1] * D) for f in P.facet_rows)
 
 
 def volume(P: Polytope) -> Fraction:

@@ -42,14 +42,6 @@ def parse_rational(value) -> Fraction:
     raise MalformedInputError(f"expected a rational, got {type(value).__name__}")
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
-def loads_exact(text: str):
-    return json.loads(text, parse_float=_reject_float)
-
-
 def atomic_write_text(path: Path, text: str):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -71,7 +63,7 @@ def atomic_write_text(path: Path, text: str):
 def polytope_to_dict(P: Polytope) -> dict:
     return {
         "dim": P.dim,
-        "vertices": [[format_rational(c) for c in v] for v in P.vertices],
+        "vertices": [[str(c) for c in v] for v in P.vertices],
     }
 
 
@@ -105,7 +97,7 @@ def _read_exact_json(path, what: str):
     except OSError as exc:
         raise MalformedInputError(f"cannot read {what} file {path}: {exc}") from exc
     try:
-        return loads_exact(text)
+        return json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -118,8 +110,8 @@ def certificate_to_dict(cert) -> dict:
     return {
         "kind": cert.kind,
         "indices": [{"index": i, "sign": s} for i, s in cert.indices],
-        "coeffs": [format_rational(c) for c in cert.coeffs],
-        "objective": format_rational(cert.objective),
+        "coeffs": [str(c) for c in cert.coeffs],
+        "objective": str(cert.objective),
     }
 
 

@@ -142,6 +142,19 @@ def test_certificate_rejects_broken_invariants(hexa, kind, indices, coeffs, mess
         CapacityCertificate(kind, indices, coeffs, F(0), base)
 
 
+def test_certificate_refuses_float_coefficients_and_objective(hexa):
+    """A float coefficient or objective raises TypeError, so neither a float
+    value nor a float sum of weights (1/3 three times is 1.0) passes for
+    exact; ints and 'p/q' strings lift to Fractions."""
+    cert = equal_weight_certificate(1)
+    for change in ({"coeffs": (1 / 3,) * 3}, {"objective": 1 / 3}):
+        with pytest.raises(TypeError, match="is not exact"):
+            replace(cert, **change)
+    lifted = replace(cert, coeffs=("1/3",) * 3, objective="1/3")
+    assert lifted == cert and all(type(c) is F for c in (*lifted.coeffs, lifted.objective))
+    assert evaluate_certificate(hexa, lifted) == F(1, 3)
+
+
 def test_evaluate_vertices_certificate_needs_self_polar(square):
     # the square conv{±1}^2 is centrally symmetric but not self-polar
     base = generator_base(square, "vertices")
@@ -350,6 +363,16 @@ def test_suspension_certificate_chain(hexa, p2, p3):
     assert cert3.objective == F(3, 7)
     assert 1 / cert3.objective == F(7, 3)
     assert evaluate_certificate(p3, cert3) == F(3, 7)
+
+
+def test_suspension_certificate_refuses_float_capacity(p2):
+    cert = equal_weight_certificate(1)
+    with pytest.raises(TypeError, match="is not exact"):
+        make_suspension_certificate(cert, 3.0)
+    for c_K in (3, "3", "6/2"):
+        lifted = make_suspension_certificate(cert, c_K)
+        assert lifted == make_suspension_certificate(cert, F(3))
+        assert evaluate_certificate(p2, lifted) == F(2, 5)
 
 
 def test_suspension_certificate_alpha_regime():

@@ -274,6 +274,14 @@ def test_contains_rejects_point_of_wrong_dimension(hexa):
             hexa.facets[0].contains(point)
 
 
+def test_gauge_rejects_point_of_wrong_dimension(hexa):
+    # the gauge reads the facet rows, whose integer dot product would zip
+    # and truncate (0, 0, 9) to the origin, of gauge 0
+    for point in [(0, 0, 9), (0,)]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gauge_norm(hexa, point)
+
+
 def test_gauge_needs_symmetry():
     triangle = convex_hull([(1, 0), (-1, 1), (-1, -2)])
     with pytest.raises(GeometryError):

@@ -27,7 +27,6 @@ from sympolar.geometry import (
     _packed,
     _polytope,
     _row_key,
-    _tight,
     apply_linear,
     convex_hull,
     f_vector,
@@ -106,7 +105,16 @@ def ref_det(matrix):
 def _incidence(rows, facet_rows):
     """Per facet row, the bitmask of the point rows on it; raises
     GeometryError when a point lies outside a facet."""
-    return tuple(_tight(f, rows) for f in facet_rows)
+    masks = []
+    for f in facet_rows:
+        mask = 0
+        for i, r in enumerate(rows):
+            value = int_dot(f, r)
+            if value > 0:
+                raise GeometryError(f"vertex {dehomogenize(r)} violates facet row {f}")
+            mask |= (value == 0) << i
+        masks.append(mask)
+    return tuple(masks)
 
 
 def ref_facet_vertex_sets(P):
@@ -298,9 +306,9 @@ def test_volume_with_the_origin_outside_or_at_a_vertex():
 def test_volume_pools_from_parent_faces():
     """The triangulation takes a face's facets from its parent face's: P_4,
     whose facets it triangulates three levels deep, has the closed-form
-    volume, and a dim-4 body with no centre, fanned from its full vertex set
-    over facets of 8 or more vertices and square 2-faces, the reference
-    volume."""
+    volume, and a dim-4 body with no centre, one signed cone from the origin
+    per facet over facets of 8 or more vertices and square 2-faces, the
+    reference volume."""
     assert volume(power_suspend(4)) == volume_closed_form(4) == F(11, 8)
     half, third = F(1, 2), F(1, 3)
     P = convex_hull(list(product((0, 1), repeat=4)) + [(2, half, half, half), (half, -1, third, 0)])
@@ -345,6 +353,23 @@ def test_consistency_rejects_unspanned_facet(square, hexa):
         assert sum(int_dot(row, r) == 0 for r in P.rows) == on
         with pytest.raises(GeometryError, match="not supported"):
             _check_consistency(P.dim, P.rows, P.facet_rows + (row,))
+
+
+def test_unpaired_consistency_names_the_violating_point():
+    """Rows that are not mirrored take one product each: a facet row of a
+    body with no centre, shifted inward past its points and no others, is
+    violated by the first of them, which is named."""
+    triangle = convex_hull([(1, 1), (3, 1), (1, 4)])
+    half, third = F(1, 2), F(1, 3)
+    off = convex_hull(list(product((0, 1), repeat=4)) + [(2, half, half, half), (half, -1, third, 0)])
+    for P in (triangle, off):
+        assert not _mirrored(P.rows)
+        n = 1 + max(r[-1] for r in P.rows)
+        for f, mask in zip(P.facet_rows, P.incidence):
+            inward = tuple(n * c for c in f[:-1]) + (n * f[-1] + 1,)  # <a, x> <= b - 1/n
+            with pytest.raises(GeometryError, match="violates") as info:
+                _check_consistency(P.dim, P.rows, [inward])
+            assert str(P.vertices[next(bits(mask))]) in str(info.value)
 
 
 def test_paired_consistency_names_the_violating_point(square, generated):
@@ -478,6 +503,30 @@ def test_consistency_reuses_carried_tight_sets(hexa, generated):
         assert set(grown.facet_rows) & set(P.facet_rows)
         assert grown.incidence == _incidence(grown.rows, grown.facet_rows)
         assert grown == convex_hull(list(P.vertices) + [dehomogenize(out), vneg(dehomogenize(out))])
+
+
+def test_consistency_reuses_carried_tight_sets_on_unpaired_rows():
+    """Carried tight sets hold on rows that are not mirrored too: a triangle
+    and one new point, on an edge or outside it, give the full incidence or
+    name the new point."""
+    P = convex_hull([(1, 1), (3, 1), (1, 4)])
+    i, j = list(bits(P.incidence[0]))[:2]
+    on = homogeneous(tuple((a + b) / 2 for a, b in zip(P.vertices[i], P.vertices[j])))
+    out = homogeneous(tuple(2 * a - b for a, b in zip(P.vertices[i], P.vertices[3 - i - j])))
+    for q in (on, out):
+        rows = sorted([*P.rows, q], key=_row_key)
+        assert not _mirrored(rows)
+        moved = [rows.index(r) for r in P.rows]
+        known = [sum(1 << moved[k] for k in bits(mask)) for mask in P.incidence]
+        old = sum(1 << k for k in moved)
+        if q == out:
+            with pytest.raises(GeometryError, match="violates") as info:
+                _check_consistency(P.dim, rows, P.facet_rows, known, old)
+            assert str(dehomogenize(q)) in str(info.value)
+        else:
+            incidence = _check_consistency(P.dim, rows, P.facet_rows, known, old)
+            assert incidence == _incidence(rows, P.facet_rows)
+            assert incidence[0] >> rows.index(q) & 1
 
 
 # --- the row order -------------------------------------------------------------
