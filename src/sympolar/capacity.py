@@ -394,8 +394,8 @@ def ehz_brute_force(
     min(m, dim+1) matches the support size of the optimal certificates of
     the suspension family; it is a heuristic with no general guarantee, so a
     bounded search yields a certified upper bound that can be strict (an
-    octagon already needs all four generator pairs).  Pass
-    ``support_bound=m`` for the certified-complete full search.
+    octagon already needs all four generator pairs).  Any ``support_bound``
+    at or above m is clamped to m: the certified-complete full search.
 
     A support whose Motzkin-Straus clique bound cannot beat the best value
     found so far, or can only tie it with a later key, is skipped unsolved;

@@ -35,7 +35,7 @@ from sympolar.experiments import (
     sequence_compare,
     sequence_viterbo_ratio,
 )
-from sympolar.geometry import GeometryError, shadow_area, volume
+from sympolar.geometry import shadow_area, volume
 from sympolar.io import (
     MalformedInputError,
     atomic_write_text,
@@ -83,40 +83,37 @@ def _cmd_power_suspend(args) -> int:
     return _write_polytope_out(args, power_suspend(args.n), f"p_suspension_{args.n}.json")
 
 
-def _cmd_suspend(args) -> int:
-    poly = suspend_halfspaces(read_polytope(args.input))
-    return _write_polytope_out(args, poly, Path(args.input).stem + ".suspended.json")
+# subcommand -> (help, the body built from the input, default output suffix)
+BODY_COMMANDS = {
+    "suspend": ("suspension of a symmetric polytope file", suspend_halfspaces, ".suspended.json"),
+    "sympolar": ("symplectic polar of a polytope file", symplectic_polar, ".sympolar.json"),
+}
+
+# subcommand -> (help, the value read off the input: a Fraction or a bool)
+VALUE_COMMANDS = {
+    "selfpolar-check": ("is the polytope symplectically self-polar?", is_self_polar),
+    "volume": ("exact volume", volume),
+    "cj": ("reciprocal of the peak form value over the polar", c_j),
+    "shadow": ("area of the projection to the first two coordinates", shadow_area),
+}
 
 
-def _cmd_sympolar(args) -> int:
-    poly = symplectic_polar(read_polytope(args.input))
-    return _write_polytope_out(args, poly, Path(args.input).stem + ".sympolar.json")
+def _cmd_body(args) -> int:
+    _, build, suffix = BODY_COMMANDS[args.command]
+    poly = build(read_polytope(args.input))
+    return _write_polytope_out(args, poly, Path(args.input).stem + suffix)
 
 
-def _cmd_selfpolar_check(args) -> int:
-    print("true" if is_self_polar(read_polytope(args.input)) else "false")
-    return EXIT_OK
-
-
-def _cmd_volume(args) -> int:
-    print(_rational(volume(read_polytope(args.input))))
-    return EXIT_OK
-
-
-def _cmd_shadow(args) -> int:
-    print(_rational(shadow_area(read_polytope(args.input))))
-    return EXIT_OK
-
-
-def _cmd_cj(args) -> int:
-    print(_rational(c_j(read_polytope(args.input))))
+def _cmd_value(args) -> int:
+    value = VALUE_COMMANDS[args.command][1](read_polytope(args.input))
+    print(("true" if value else "false") if isinstance(value, bool) else _rational(value))
     return EXIT_OK
 
 
 def _cmd_ehz(args) -> int:
     poly = read_polytope(args.input)
-    # only --full needs the pair count before the search builds the generators
-    bound = len(generator_base(poly, args.mode)) if args.full else args.support_bound
+    # the search clamps its bound to the pair count m, so any bound >= m is complete
+    bound = sys.maxsize if args.full else args.support_bound
     capacity, cert = ehz_brute_force(
         poly,
         bound,
@@ -270,23 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_power_suspend)
 
-    p = sub.add_parser("suspend", help="suspension of a symmetric polytope file")
-    p.add_argument("input")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_suspend)
-
-    p = sub.add_parser("sympolar", help="symplectic polar of a polytope file")
-    p.add_argument("input")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sympolar)
-
-    p = sub.add_parser("selfpolar-check", help="is the polytope symplectically self-polar?")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_selfpolar_check)
-
-    p = sub.add_parser("volume", help="exact volume")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_volume)
+    for table, handler in ((BODY_COMMANDS, _cmd_body), (VALUE_COMMANDS, _cmd_value)):
+        for name, (help_text, *_) in table.items():
+            p = sub.add_parser(name, help=help_text)
+            p.add_argument("input")
+            if table is BODY_COMMANDS:
+                p.add_argument("--out")
+            p.set_defaults(func=handler)
 
     p = sub.add_parser("ehz", help="exact EHZ capacity with certificate")
     p.add_argument("input")
@@ -303,14 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cert", help="certificate output file")
     p.set_defaults(func=_cmd_ehz)
-
-    p = sub.add_parser("cj", help="reciprocal of the peak form value over the polar")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_cj)
-
-    p = sub.add_parser("shadow", help="area of the projection to the first two coordinates")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_shadow)
 
     p = sub.add_parser("generate", help="seeded random self-polar generation batch")
     p.add_argument("--dim", type=int, required=True, choices=[2, 4, 6])
@@ -366,7 +345,7 @@ def run(argv=None) -> int:
     except SearchBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GeometryError, CapacityError, ValueError) as exc:
+    except ValueError as exc:  # GeometryError and CapacityError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary

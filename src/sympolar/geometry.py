@@ -844,7 +844,5 @@ def shadow_area(P: Polytope) -> Fraction:
     """Area of the orthogonal projection onto the first two coordinates."""
     if P.dim < 2:
         raise GeometryError("shadow needs ambient dimension >= 2")
-    if P.dim == 2:
-        return volume(P)
     projected = {(v[0], v[1]) for v in P.vertices}
     return volume(convex_hull(projected))

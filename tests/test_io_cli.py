@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from sympolar.capacity import equal_weight_certificate, make_suspension_certificate
-from sympolar.cli import run
+import sympolar.cli
+from sympolar.cli import _rational, run
 from sympolar.io import (
     MalformedInputError,
     certificate_fields_from_dict,
@@ -22,6 +23,7 @@ from sympolar.io import (
     write_polytope,
 )
 from sympolar.suspension import power_suspend
+from sympolar.symplectic import c_j
 
 F = Fraction
 
@@ -202,6 +204,26 @@ def test_cli_ehz_support_bound(tmp_path, capsys):
     assert not (tmp_path / "conflict.json").exists()
 
 
+def test_cli_ehz_full_builds_no_generator_base(tmp_path, capsys, monkeypatch):
+    """The search clamps its support bound to the pair count, so ``--full``
+    needs no pair count from the CLI and is the search at any bound >= m."""
+    _call(tmp_path, "power-suspend", "2", "--out", "p2.json")
+    p2 = str(tmp_path / "p2.json")
+    argv = ["ehz", p2, "--mode", "vertices"]
+    assert _call(tmp_path, *argv, "--support-bound", "8", "--cert", "b8.json") == 0
+
+    def no_generator_base(*args):
+        raise AssertionError("the CLI built a generator base")
+
+    monkeypatch.setattr(sympolar.cli, "generator_base", no_generator_base)
+    capsys.readouterr()
+    assert _call(tmp_path, *argv, "--full", "--cert", "full.json") == 0
+    out = capsys.readouterr().out
+    assert "5/2 (2.5)" in out
+    assert "note:" not in out
+    assert (tmp_path / "full.json").read_bytes() == (tmp_path / "b8.json").read_bytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cli_certifies_the_closed_form_certificates(tmp_path, capsys, n):
     """The closed-form certificates index P_n's canonical generator base,
@@ -289,6 +311,37 @@ def test_cli_shadow_cj(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "3 (3.0)" in out
     assert "1 (1.0)" in out
+
+
+def test_cli_value_commands_print_the_library_values(tmp_path, capsys, square):
+    write_polytope(tmp_path / "square.json", square)
+    expected = {
+        "selfpolar-check": "false",
+        "volume": "4 (4.0)",
+        "shadow": "4 (4.0)",
+        "cj": _rational(c_j(square)),
+    }
+    for command, line in expected.items():
+        capsys.readouterr()
+        assert _call(tmp_path, command, str(tmp_path / "square.json")) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize("command, suffix", [("suspend", "suspended"), ("sympolar", "sympolar")])
+def test_cli_body_commands_name_their_output_after_the_input(
+    tmp_path, capsys, hexa, command, suffix
+):
+    """Without ``--out`` the output is ``<stem>.<suffix>.json`` under
+    ``--out-dir``, not beside the input."""
+    src = tmp_path / "in" / "hexa.json"
+    write_polytope(src, hexa)
+    out = tmp_path / "out" / f"hexa.{suffix}.json"
+    assert run(["--out-dir", str(out.parent), command, str(src)]) == 0
+    body = read_polytope(out)
+    # the hexagon suspends to P_2 and is its own symplectic polar
+    assert body == (power_suspend(2) if command == "suspend" else hexa)
+    assert capsys.readouterr().out == f"wrote {out} ({len(body.rows)} vertices, dim {body.dim})\n"
+    assert [p.name for p in src.parent.iterdir()] == ["hexa.json"]
 
 
 def test_cli_suspend_roundtrip(tmp_path, capsys, hexa):
