@@ -379,6 +379,13 @@ def _omega_matrix(base: Sequence[Vec]) -> tuple[list[list[int]], int]:
     return [[o * w_scale // d for o, d in row] for row in W], w_scale
 
 
+def effective_support_bound(m: int, dim: int, support_bound: int | None) -> int:
+    """The largest support size the search enumerates over m generator pairs
+    of a dim-dimensional body: min(m, dim + 1) by default, and otherwise
+    ``support_bound`` clamped to m."""
+    return min(m, dim + 1) if support_bound is None else min(support_bound, m)
+
+
 def ehz_brute_force(
     P: Polytope,
     support_bound: int | None = None,
@@ -425,10 +432,9 @@ def ehz_brute_force(
     m = len(base)
     if m < 2:
         raise CapacityError("need at least two generator pairs")
-    bound = min(m, P.dim + 1) if support_bound is None else support_bound
+    bound = effective_support_bound(m, P.dim, support_bound)
     if bound < 2:
         raise CapacityError("support bound must be at least 2")
-    bound = min(bound, m)
 
     # the normalization weights every coefficient by 1: plain coefficient
     # mass in vertices mode, and in normals mode the support value of each

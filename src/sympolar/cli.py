@@ -24,6 +24,7 @@ from sympolar.capacity import (
     VERTICES,
     CapacityError,
     SearchBudgetError,
+    effective_support_bound,
     ehz_brute_force,
     evaluate_certificate,
     generator_base,
@@ -122,7 +123,7 @@ def _cmd_ehz(args) -> int:
     )
     print(_rational(capacity))
     m = len(cert.generators)
-    effective = min(m, poly.dim + 1) if bound is None else min(bound, m)
+    effective = effective_support_bound(m, poly.dim, bound)
     if effective < m:
         print(
             f"note: support-bounded search (<= {effective} of {m} generator pairs); "

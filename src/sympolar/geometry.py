@@ -13,10 +13,12 @@ use.  A vertex is on a facet when the integer dot product of their rows is
 0 and inside it when it is <= 0.  The incidence is computed once per hull,
 by the exact consistency check, and reused by the polar and by
 ``_facets_of``, which reads the faces off it with no rank test for the face
-lattice and the volume; the volume's triangulation looks for a face's
-facets only among its parent face's.  A hull grown from P keeps the facets
-of P that no new point cuts, and its check takes their tight sets on P's
-vertices from P's incidence, evaluating them on the new points only.
+lattice and the volume, and with no maximality test either on faces of
+dimension at most 3, as no three vertices of a polytope are collinear; the
+volume's triangulation looks for a face's facets only among its parent
+face's.  A hull grown from P keeps the facets of P that no new point cuts,
+and its check takes their tight sets on P's vertices from P's incidence,
+evaluating them on the new points only.
 The volume of every body is one sum of signed cones from the origin over
 its facets, each facet triangulated by pulling.
 
@@ -385,7 +387,8 @@ def vertex_enumeration(
             "halfspace normals do not span the ambient space (the region "
             "contains a line, so it is unbounded or empty)"
         )
-    order = basis + [i for i in range(len(rows)) if i not in set(basis)]
+    chosen = set(basis)
+    order = basis + [i for i in range(len(rows)) if i not in chosen]
     ordered = [rows[i] for i in order]
 
     # the initial rays are the columns of B^-1 for the basis B, taken from
@@ -751,22 +754,29 @@ def volume(P: Polytope) -> Fraction:
     the origin bounds a flat cone, of determinant 0.  Each facet is
     triangulated by pulling, through one memo, and the cone over a simplex
     with rows (V_i, d_i) has volume |det(V_1, ..., V_dim)| / (d_1 ... d_dim dim!).
+    The triangulation finds the facets of its faces of dimension at most 3
+    with no maximality test, as no three vertices of a polytope are
+    collinear; four can be coplanar, so faces of dimension 4 and more keep
+    the test (``_facets_of``).
     Mirror facets (a, -b), (-a, -b) of a symmetric P bound congruent cones,
     so its volume is twice the cones' over one facet of each mirror pair.
 
     The signed integer determinants are summed per denominator product, and
     these sums, as ``Fraction``s, pairwise in a balanced tree, so that the
     summands stay about one size."""
+    points = [r[:-1] for r in P.rows]
+    dens = [r[-1] for r in P.rows]
     memo: dict[int, list[tuple[int, ...]]] = {}
     sums: dict[int, int] = {}  # denominator product -> signed sum of |det|
     for f, mask in zip(P.facet_rows, P.incidence):
-        if P.symmetric and f < _antipode(f):  # its mirror, a distinct facet row, counts it
+        # f < its mirror (-a, -b) exactly when the first nonzero entry of a
+        # is negative; the mirror, a distinct facet row, counts the pair
+        if P.symmetric and next(c for c in f if c) < 0:
             continue
         sign = 1 if f[-1] < 0 else -1  # the sign of b in f = (a, -b)
         for simplex in _pulling_triangulation(P.incidence, mask, P.dim - 1, memo):
-            corners = [P.rows[i] for i in simplex]
-            d = prod(r[-1] for r in corners)
-            sums[d] = sums.get(d, 0) + sign * abs(int_det([r[:-1] for r in corners]))
+            d = prod(dens[i] for i in simplex)
+            sums[d] = sums.get(d, 0) + sign * abs(int_det([points[i] for i in simplex]))
     terms = [Fraction(n, d) for d, n in sums.items()]
     while len(terms) > 1:  # an odd one out moves up a level as it is
         terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
@@ -790,8 +800,17 @@ def _facets_of(pool: Iterable[int], face: int, k: int) -> list[int]:
     face is the intersection of the facets containing it, or, for a facet R
     of a face F, F's facets: each facet of R is a ridge of F, which lies in
     R and one other facet of F.  A (k-1)-face has at least k vertices, so
-    smaller intersections are never maximal and are left out first."""
-    return _maximal(h for g in pool if (h := face & g) != face and h.bit_count() >= k)
+    smaller intersections are never maximal and are left out first.
+
+    Each intersection left is a face of P properly inside ``face``, of
+    dimension at most k-1.  No three vertices of a polytope are collinear,
+    so a face of dimension at most 1 has at most 2 vertices: for k <= 3 an
+    intersection with at least k vertices has dimension k-1 and is a facet,
+    and the distinct ones are returned with no maximality test.  Four
+    vertices can lie in one 2-face, so from k = 4 on the maximal ones are
+    kept (``_maximal``)."""
+    found = {h for g in pool if (h := face & g) != face and h.bit_count() >= k}
+    return list(found) if k <= 3 else _maximal(found)
 
 
 def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
@@ -799,7 +818,8 @@ def face_lattice(P: Polytope) -> dict[int, list[frozenset[int]]]:
 
     Level dim-1 holds the facets' vertex sets from the incidence, and level
     k-1 is the union of the facets of the faces in level k (``_facets_of``),
-    so no rank test is made in any dimension.
+    so no rank test is made in any dimension, and a maximality test only on
+    faces of dimension 4 and more.
     """
     levels = {P.dim - 1: set(P.incidence)}
     for k in range(P.dim - 1, 1, -1):

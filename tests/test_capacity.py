@@ -20,6 +20,7 @@ from sympolar.capacity import (
     _clique_bound,
     _omega_matrix,
     _search,
+    effective_support_bound,
     ehz_brute_force,
     equal_weight_certificate,
     evaluate_certificate,
@@ -286,6 +287,14 @@ def test_negative_budget_is_a_domain_error(p2):
 def test_support_bound_below_two_is_rejected(hexa):
     with pytest.raises(CapacityError, match="support bound must be at least 2"):
         ehz_brute_force(hexa, support_bound=1)
+
+
+@pytest.mark.parametrize(
+    "m, dim, support_bound, expected", [(8, 4, None, 5), (8, 4, 100, 8), (4, 2, None, 3)]
+)
+def test_effective_support_bound(m, dim, support_bound, expected):
+    """dim + 1 by default, and any bound clamped to the pair count m."""
+    assert effective_support_bound(m, dim, support_bound) == expected
 
 
 def test_capacity_needs_even_dimension():

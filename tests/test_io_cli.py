@@ -224,6 +224,22 @@ def test_cli_ehz_full_builds_no_generator_base(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "full.json").read_bytes() == (tmp_path / "b8.json").read_bytes()
 
 
+def test_cli_ehz_note_takes_the_search_bound_rule(tmp_path, capsys, monkeypatch):
+    """The support-bounded note names the bound of the search's own rule,
+    ``effective_support_bound``: a rule that reaches the pair count drops it."""
+    _call(tmp_path, "power-suspend", "2", "--out", "p2.json")
+    p2 = str(tmp_path / "p2.json")
+    argv = ["ehz", p2, "--mode", "vertices"]
+    capsys.readouterr()
+    assert _call(tmp_path, *argv, "--cert", "bounded.json") == 0
+    assert "(<= 5 of 8 generator pairs)" in capsys.readouterr().out
+    monkeypatch.setattr(sympolar.cli, "effective_support_bound", lambda m, dim, bound: m)
+    assert _call(tmp_path, *argv, "--cert", "patched.json") == 0
+    out = capsys.readouterr().out
+    assert "5/2 (2.5)" in out
+    assert "note:" not in out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cli_certifies_the_closed_form_certificates(tmp_path, capsys, n):
     """The closed-form certificates index P_n's canonical generator base,

@@ -14,6 +14,7 @@ from math import factorial, lcm
 
 import pytest
 
+from sympolar import geometry
 from sympolar.capacity import _pair_rep, generator_base
 from sympolar.experiments import enumerate_pm1, random_selfpolar
 from sympolar.experiments.pm1 import compatibility_adjacency, maximal_cliques, sign_vector_pairs
@@ -23,6 +24,7 @@ from sympolar.geometry import (
     _check_consistency,
     _crossings,
     _grow_hull,
+    _maximal,
     _mirrored,
     _packed,
     _polytope,
@@ -315,6 +317,34 @@ def test_volume_pools_from_parent_faces():
     assert P.dim == 4 and not P.symmetric
     assert max(len(s) for s in P.facet_vertex_sets()) >= 8
     assert volume(P) == ref_volume(P) == F(25, 16)
+
+
+def test_facets_of_needs_no_maximality_test_below_dim_4(monkeypatch, p2, p3, generated):
+    """No three vertices of a polytope are collinear, so the proper
+    intersections of a face of dimension k <= 3 with at least k vertices are
+    its facets: on every face that ``face_lattice`` or the volume's
+    triangulation reaches, ``_facets_of`` returns the set of inclusion-maximal
+    intersections over the same pool.  Faces of dimension 4 and more are
+    checked as well, where four coplanar vertices make the test needed."""
+    levels = set()
+
+    def checked(pool, face, k):
+        pool = list(pool)
+        found = facets_of(pool, face, k)
+        reference = _maximal(h for g in pool if (h := face & g) != face and h.bit_count() >= k)
+        assert set(found) == set(reference), (face, k)
+        levels.add(k)
+        return found
+
+    facets_of = geometry._facets_of
+    monkeypatch.setattr(geometry, "_facets_of", checked)
+    table1 = [c.representative for c in enumerate_pm1(4).classes]
+    bodies = BODIES + table1 + [p2, p3, generated]
+    bodies.append(random_symmetric_polytope(random.Random(1), 6, 14))
+    for P in bodies:
+        f_vector(P)
+        volume(P)
+    assert levels == {2, 3, 4, 5}
 
 
 def test_vertices_sorted_with_mixed_denominators(generated):
