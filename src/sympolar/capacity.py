@@ -35,13 +35,12 @@ from typing import Sequence
 
 from sympolar.geometry import Polytope, polar_dual
 from sympolar.linalg import Vec, as_fraction, homogeneous, int_adjugate, vneg
-from sympolar.suspension import PIVOT, hexagon, induction_certificate
+from sympolar.suspension import hexagon, induction_certificate, suspension_points, witness_step
 from sympolar.symplectic import is_self_polar, omega, omega_rows
 
 log = logging.getLogger(__name__)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 VERTICES = "vertices"
 FACET_NORMALS = "facet-normals"
@@ -176,18 +175,17 @@ def _indices(base: Sequence[Vec], vectors: Sequence[Vec]) -> tuple[tuple[int, in
 
 def _suspension_base(base: Sequence[Vec]) -> tuple[Vec, ...]:
     """The vertex ``generator_base`` of the suspension of a self-polar K,
-    from K's: (1, 0) + 0, (0, 1) + 0 and u + v for every vertex v = ±g of K,
-    sorted."""
-    zeros = (ZERO,) * len(base[0])
-    lifted = [PIVOT + v for g in base for v in (g, vneg(g))]
-    return tuple(sorted([(ONE, ZERO) + zeros, (ZERO, ONE) + zeros] + lifted))
+    from K's with no hull: the vertex lift ``suspension_points`` of K's
+    vertices ±g, sorted, upper half, by ``generator_base``'s rule."""
+    points = sorted(suspension_points([*base, *map(vneg, base)]))
+    return tuple(points[len(points) // 2 :])
 
 
 def equal_weight_certificate(n: int) -> CapacityCertificate:
     """Uniform weights 1/(2n+1) on the induction witness family; the
     objective is n/(2n+1), so the certified bound is c_EHZ <= 2 + 1/n.
     The indices refer to the vertex ``generator_base`` of P_n, built from
-    the hexagon's by ``_suspension_base`` with no hull."""
+    the hexagon's by ``_suspension_base``, the vertex lift, with no hull."""
     vectors = induction_certificate(n).vertices
     coeffs = (Fraction(1, 2 * n + 1),) * len(vectors)
     base = generator_base(hexagon(), VERTICES)
@@ -203,12 +201,12 @@ def make_suspension_certificate(
     """Push a vertex certificate of a self-polar body K with capacity c_K > 2
     through the suspension.
 
-    The suspension generators are u + v_i together with (0,1) + 0 and
-    (-1,0) + 0; with alpha = (c_K - 2)/(3 c_K - 4) the weights
-    (1 - 2 alpha) beta_i, alpha, alpha give objective
+    The suspension's witnesses are ``witness_step`` of K's, u + v_i
+    together with (0,1) + 0 and (-1,0) + 0; with alpha = (c_K - 2)/(3 c_K - 4)
+    the weights (1 - 2 alpha) beta_i, alpha, alpha give objective
     (c_K - 1)/(3 c_K - 4), certifying c_EHZ <= 3 - 1/(c_K - 1).  The
     indices refer to the suspension's vertex ``generator_base``, built from
-    K's, ``cert_K.generators``, by ``_suspension_base``.
+    K's, ``cert_K.generators``, by ``_suspension_base``, the vertex lift.
     """
     c_K = as_fraction(c_K)
     if cert_K.kind != VERTICES:
@@ -224,9 +222,7 @@ def make_suspension_certificate(
     betas = cert_K.coeffs
     if sum(betas, ZERO) != 1:
         raise CertificateError("certificate weights must sum to 1")
-    zeros = (ZERO,) * len(cert_K.generators[0])
-    lifted = [PIVOT + v for v in cert_K.support_vectors()]
-    vectors = lifted + [(ZERO, ONE) + zeros, (-ONE, ZERO) + zeros]
+    vectors = witness_step(cert_K.support_vectors())
     alpha = (c_K - 2) / (3 * c_K - 4)
     coeffs = tuple((1 - 2 * alpha) * b for b in betas) + (alpha, alpha)
     objective = _double_sum(vectors, coeffs)

@@ -133,6 +133,14 @@ def _viterbo_float(n: int) -> float:
     return math.exp(ln)
 
 
+#: Per kind: the exact step ratio, the first term, a_n in floats, lim a_n / n^(1/4).
+_SEQUENCES = {
+    "compare": (compare_parity_ratio, sequence_compare(1), _compare_float, COMPARE_ASYMPTOTE),
+    "viterbo": (viterbo_step_ratio, SequenceValue(sequence_viterbo_ratio(1), 0),
+                _viterbo_float, VITERBO_ASYMPTOTE),
+}
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     kind: str
@@ -158,27 +166,15 @@ def monotonicity_check(kind: str, n_max: int) -> MonotonicityReport:
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    failures = []
+    if kind not in _SEQUENCES:
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    step_ratio, minimum, as_float, target = _SEQUENCES[kind]
+    failures = [n for n in range(1, n_max + 1) if step_ratio(n) <= 1]
     anchor_ok: bool | None = None
     if kind == "compare":
-        for n in range(1, n_max + 1):
-            if compare_parity_ratio(n) <= 1:
-                failures.append(n)
         # a_1 = (1/3) pi < 22/21 < 8/7 = a_2
-        a2 = sequence_compare(2).as_fraction()
-        anchor_ok = sequence_compare(1).coefficient * PI_UPPER < a2
-        minimum = sequence_compare(1)
-        observed = _compare_float(ASYMPTOTE_N) / ASYMPTOTE_N**0.25
-        target = COMPARE_ASYMPTOTE
-    elif kind == "viterbo":
-        for n in range(1, n_max + 1):
-            if viterbo_step_ratio(n) <= 1:
-                failures.append(n)
-        minimum = SequenceValue(sequence_viterbo_ratio(1), 0)
-        observed = _viterbo_float(ASYMPTOTE_N) / ASYMPTOTE_N**0.25
-        target = VITERBO_ASYMPTOTE
-    else:
-        raise ValueError(f"unknown sequence kind {kind!r}")
+        anchor_ok = minimum.coefficient * PI_UPPER < sequence_compare(2).as_fraction()
+    observed = as_float(ASYMPTOTE_N) / ASYMPTOTE_N**0.25
     rel_err = abs(observed - target) / target
     return MonotonicityReport(
         kind=kind,

@@ -15,6 +15,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from sympolar.capacity import FACET_NORMALS, VERTICES
 from sympolar.geometry import Polytope, convex_hull
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
@@ -126,7 +127,7 @@ def certificate_fields_from_dict(data) -> tuple[str, tuple, tuple, Fraction]:
         raw_objective = data["objective"]
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(f"certificate JSON missing field: {exc}") from exc
-    if kind not in ("vertices", "facet-normals"):
+    if kind not in (VERTICES, FACET_NORMALS):
         raise MalformedInputError(f"unknown certificate kind: {kind!r}")
     if not isinstance(raw_indices, list) or not isinstance(raw_coeffs, list):
         raise MalformedInputError("certificate indices and coeffs must be lists")

@@ -28,6 +28,7 @@ from sympolar.geometry import (
 from sympolar.linalg import Vec, as_vec, homogeneous
 from sympolar.symplectic import is_self_polar, omega
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 #: The distinguished hexagon vertex the suspension pivots around.
@@ -43,9 +44,18 @@ def hexagon() -> Polytope:
     return convex_hull(_HEXAGON_POINTS)
 
 
+def suspension_points(vertices: Sequence[Vec]) -> list[Vec]:
+    """The vertex lift: the suspension's vertices from the vertices of a
+    self-polar X, the four short hexagon vertices at level zero and then
+    u + v and -u + v for each v.  The order fixes the hull's facet order."""
+    zeros = (ZERO,) * len(vertices[0])
+    short = [(ONE, ZERO), (-ONE, ZERO), (ZERO, ONE), (ZERO, -ONE)]
+    return [h + zeros for h in short] + [u + v for v in vertices for u in (PIVOT, (-ONE, -ONE))]
+
+
 def suspend_vertices(X: Polytope) -> Polytope:
-    """Suspension via its vertex description: the hull of the four short
-    hexagon vertices at level zero and of {±u} x V(X).  This is the body of
+    """Suspension via its vertex description: the hull of
+    ``suspension_points(X.vertices)``.  This is the body of
     ``suspend_halfspaces`` for every symmetric X; X must be symplectically
     self-polar here so that the suspension family stays self-polar."""
     if not is_self_polar(X):
@@ -53,16 +63,7 @@ def suspend_vertices(X: Polytope) -> Polytope:
             "vertex-route suspension needs a symplectically self-polar body; "
             "use suspend_halfspaces for general symmetric input"
         )
-    zeros = (Fraction(0),) * X.dim
-    points: list[Vec] = [
-        (ONE, Fraction(0)) + zeros,
-        (-ONE, Fraction(0)) + zeros,
-        (Fraction(0), ONE) + zeros,
-        (Fraction(0), -ONE) + zeros,
-    ]
-    for v in X.vertices:
-        points.append(PIVOT + v)
-        points.append((-ONE, -ONE) + v)
+    points = suspension_points(X.vertices)
     result = convex_hull(points)
     if set(result.rows) != {homogeneous(p) for p in points}:
         raise GeometryError("suspension points failed to be in convex position")
@@ -164,10 +165,16 @@ class InductionCertificate:
                     )
 
 
+def witness_step(vectors: Sequence[Vec]) -> list[Vec]:
+    """The witness step: a witness family of the suspension from one of X,
+    u + v for each vector v, then (0,1) + 0 and (-1,0) + 0."""
+    zeros = (ZERO,) * len(vectors[0])
+    return [PIVOT + v for v in vectors] + [(ZERO, ONE) + zeros, (-ONE, ZERO) + zeros]
+
+
 def induction_certificate(n: int) -> InductionCertificate:
     """Recursive witness family: the base triple (1,0), (1,1), (0,1) on the
-    hexagon; each step prepends the pivot to the previous vectors and appends
-    (0,1) + 0 and (-1,0) + 0."""
+    hexagon, lifted n - 1 times by ``witness_step``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     vectors: list[Vec] = [
@@ -175,9 +182,6 @@ def induction_certificate(n: int) -> InductionCertificate:
         (ONE, ONE),
         (Fraction(0), ONE),
     ]
-    for level in range(2, n + 1):
-        zeros = (Fraction(0),) * (2 * level - 2)
-        vectors = [PIVOT + v for v in vectors]
-        vectors.append((Fraction(0), ONE) + zeros)
-        vectors.append((-ONE, Fraction(0)) + zeros)
+    for _ in range(n - 1):
+        vectors = witness_step(vectors)
     return InductionCertificate(n, tuple(vectors))

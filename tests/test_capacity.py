@@ -20,6 +20,7 @@ from sympolar.capacity import (
     _clique_bound,
     _omega_matrix,
     _search,
+    _suspension_base,
     effective_support_bound,
     ehz_brute_force,
     equal_weight_certificate,
@@ -28,7 +29,7 @@ from sympolar.capacity import (
     make_suspension_certificate,
 )
 from sympolar.geometry import apply_linear, convex_hull, polar_dual, volume
-from sympolar.suspension import induction_certificate
+from sympolar.suspension import induction_certificate, power_suspend
 from sympolar.symplectic import is_self_polar, omega
 
 from conftest import random_symmetric_polytope
@@ -372,6 +373,21 @@ def test_suspension_certificate_chain(hexa, p2, p3):
     assert cert3.objective == F(3, 7)
     assert 1 / cert3.objective == F(7, 3)
     assert evaluate_certificate(p3, cert3) == F(3, 7)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_suspension_base_is_the_generator_base_of_the_suspension(n):
+    # the generators lifted from P_{n-1} without a hull are those of the hull P_n
+    lifted = _suspension_base(generator_base(power_suspend(n - 1), "vertices"))
+    assert lifted == generator_base(power_suspend(n), "vertices")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_suspension_certificate_keeps_equal_weights(n):
+    # with c_K = 2 + 1/n, alpha = 1/(2n+3) is also the weight (1 - 2 alpha)/(2n+1)
+    # that the lift gives each lifted vector, so the uniform family stays uniform
+    lifted = make_suspension_certificate(equal_weight_certificate(n), 2 + F(1, n))
+    assert lifted == equal_weight_certificate(n + 1)
 
 
 def test_suspension_certificate_refuses_float_capacity(p2):
