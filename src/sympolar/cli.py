@@ -29,13 +29,7 @@ from sympolar.capacity import (
     evaluate_certificate,
     generator_base,
 )
-from sympolar.experiments import (
-    batch_generate,
-    enumerate_pm1,
-    monotonicity_check,
-    sequence_compare,
-    sequence_viterbo_ratio,
-)
+from sympolar.experiments import SEQUENCES, batch_generate, enumerate_pm1, monotonicity_check
 from sympolar.geometry import shadow_area, volume
 from sympolar.io import (
     MalformedInputError,
@@ -230,11 +224,9 @@ def _cmd_sequences(args) -> int:
             f"({'ok' if report.asymptote_ok else 'FAILED'})"
         )
         return EXIT_OK if report.ok and report.asymptote_ok else EXIT_DOMAIN
-    if args.kind == "compare":
-        value = sequence_compare(args.n)
-        print(f"{value} ({float(value)!r})")
-    else:
-        print(_rational(sequence_viterbo_ratio(args.n)))
+    term = SEQUENCES[args.kind][0]
+    value = term(args.n)
+    print(f"{value} ({float(value)!r})")
     return EXIT_OK
 
 
@@ -310,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate_pm1)
 
     p = sub.add_parser("sequences", help="exact sequence values and monotonicity checks")
-    p.add_argument("--kind", choices=["compare", "viterbo"], required=True)
+    p.add_argument("--kind", choices=list(SEQUENCES), required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--check", type=int, default=None, help="run the strict-growth check up to N")
     p.set_defaults(func=_cmd_sequences)

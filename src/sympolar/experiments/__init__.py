@@ -18,6 +18,7 @@ from sympolar.experiments.pm1 import (
     sign_vector_pairs,
 )
 from sympolar.experiments.sequences import (
+    SEQUENCES,
     MonotonicityReport,
     SequenceValue,
     l2_sum_volume,
@@ -27,6 +28,7 @@ from sympolar.experiments.sequences import (
 )
 
 __all__ = [
+    "SEQUENCES",
     "BatchResult",
     "CliqueClass",
     "ExperimentRecord",

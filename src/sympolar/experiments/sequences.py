@@ -133,11 +133,15 @@ def _viterbo_float(n: int) -> float:
     return math.exp(ln)
 
 
-#: Per kind: the exact step ratio, the first term, a_n in floats, lim a_n / n^(1/4).
-_SEQUENCES = {
-    "compare": (compare_parity_ratio, sequence_compare(1), _compare_float, COMPARE_ASYMPTOTE),
-    "viterbo": (viterbo_step_ratio, SequenceValue(sequence_viterbo_ratio(1), 0),
-                _viterbo_float, VITERBO_ASYMPTOTE),
+def _viterbo_term(n: int) -> SequenceValue:
+    return SequenceValue(sequence_viterbo_ratio(n), 0)
+
+
+#: Per kind: a_n exactly, the exact step ratio, a_n in floats, lim a_n / n^(1/4).
+#: The CLI's ``sequences --kind`` choices are its keys.
+SEQUENCES = {
+    "compare": (sequence_compare, compare_parity_ratio, _compare_float, COMPARE_ASYMPTOTE),
+    "viterbo": (_viterbo_term, viterbo_step_ratio, _viterbo_float, VITERBO_ASYMPTOTE),
 }
 
 
@@ -166,9 +170,10 @@ def monotonicity_check(kind: str, n_max: int) -> MonotonicityReport:
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if kind not in _SEQUENCES:
+    if kind not in SEQUENCES:
         raise ValueError(f"unknown sequence kind {kind!r}")
-    step_ratio, minimum, as_float, target = _SEQUENCES[kind]
+    term, step_ratio, as_float, target = SEQUENCES[kind]
+    minimum = term(1)
     failures = [n for n in range(1, n_max + 1) if step_ratio(n) <= 1]
     anchor_ok: bool | None = None
     if kind == "compare":

@@ -20,7 +20,8 @@ face's.  A hull grown from P keeps the facets of P that no new point cuts,
 and its check takes their tight sets on P's vertices from P's incidence,
 evaluating them on the new points only.
 The volume of every body is one sum of signed cones from the origin over
-its facets, each facet triangulated by pulling.
+its facets, each facet triangulated by pulling, kept on integer
+(numerator, denominator) pairs up to one ``Fraction`` at the end.
 
 Facet enumeration uses incremental insertion of halfspaces in the
 double-description style, which is robust under the heavy degeneracies of
@@ -68,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from sympolar.linalg import (
@@ -164,9 +165,17 @@ class Polytope:
     and ``incidence``, per facet row, the bitmask of the indices of the
     vertices on it.  The ``Fraction`` views ``vertices`` and ``facets`` are
     derived from the rows on first use.
+
+    ``_inside_sympolar`` records that ``symplectic.check_subset_sympolar``
+    found P inside its symplectic polar, a fact of the rows alone; it is
+    set by that check and by ``symplectic.expand_step``, never by a
+    constructor, and takes no part in equality, hashing or files.
     """
 
-    __slots__ = ("dim", "rows", "facet_rows", "incidence", "symmetric", "_vertices", "_facets")
+    __slots__ = (
+        "dim", "rows", "facet_rows", "incidence", "symmetric", "_vertices", "_facets",
+        "_inside_sympolar",
+    )
 
     def __init__(self, dim: int, rows, facet_rows, incidence):
         self.dim = dim
@@ -176,6 +185,7 @@ class Polytope:
         self.symmetric = _mirrored(rows)
         self._vertices = None
         self._facets = None
+        self._inside_sympolar = False
 
     def _halfspaces(self) -> list[HalfSpace]:
         """Facet halfspaces, scaled to offset 1 when the origin is interior,
@@ -762,8 +772,9 @@ def volume(P: Polytope) -> Fraction:
     so its volume is twice the cones' over one facet of each mirror pair.
 
     The signed integer determinants are summed per denominator product, and
-    these sums, as ``Fraction``s, pairwise in a balanced tree, so that the
-    summands stay about one size."""
+    these sums pairwise in a balanced tree, so that the summands stay about
+    one size, as integer (numerator, denominator) pairs over the lcm of the
+    two denominators (``_add_pairs``); one ``Fraction`` reduces the total."""
     points = [r[:-1] for r in P.rows]
     dens = [r[-1] for r in P.rows]
     memo: dict[int, list[tuple[int, ...]]] = {}
@@ -777,10 +788,19 @@ def volume(P: Polytope) -> Fraction:
         for simplex in _pulling_triangulation(P.incidence, mask, P.dim - 1, memo):
             d = prod(dens[i] for i in simplex)
             sums[d] = sums.get(d, 0) + sign * abs(int_det([points[i] for i in simplex]))
-    terms = [Fraction(n, d) for d, n in sums.items()]
+    terms = [(n, d) for d, n in sums.items()]
     while len(terms) > 1:  # an odd one out moves up a level as it is
-        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
-    return (2 if P.symmetric else 1) * terms[0] / factorial(P.dim)
+        terms = [*map(_add_pairs, terms[::2], terms[1::2]), *terms[len(terms) & ~1 :]]
+    n, d = terms[0]
+    return Fraction((2 if P.symmetric else 1) * n, d * factorial(P.dim))
+
+
+def _add_pairs(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """a/b + c/e as an unreduced (numerator, denominator) pair over lcm(b, e),
+    for positive b and e: one gcd, of the denominators."""
+    (a, b), (c, e) = x, y
+    g = gcd(b, e)
+    return a * (e // g) + c * (b // g), b // g * e
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:

@@ -107,6 +107,19 @@ def symplectic_polar(P: Polytope) -> Polytope:
     return _polar(P, _sympolar_coords(P))
 
 
+def _first_violation(rows: Sequence[Row]) -> Witness | None:
+    """The first pair of ``rows``, in scan order, with |omega| > 1, as a
+    witness (v, w, omega(v, w)) with omega(v, w) > 1; None when there is none."""
+    for i, x in enumerate(rows):
+        for y in rows[i + 1 :]:
+            value, bound = omega_rows(x, y), x[-1] * y[-1]
+            if value > bound:
+                return dehomogenize(x), dehomogenize(y), Fraction(value, bound)
+            if -value > bound:
+                return dehomogenize(y), dehomogenize(x), Fraction(-value, bound)
+    return None
+
+
 def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
     """Whether P is contained in its symplectic polar.
 
@@ -119,20 +132,20 @@ def check_subset_sympolar(P: Polytope) -> tuple[bool, Witness | None]:
     and omega(x, -x) = 0, every violating pair (a, b) has one among the
     pairs of the first half at or before it in scan order, with the same
     |omega|; so the scan of that half alone finds the same first pair.
-    Raises GeometryError in odd dimension, where there is no form.
+
+    A scan that finds no violation marks P, and a marked P is answered with
+    no scan: the answer depends on P's rows alone, which never change.
+    ``expand_step`` marks the bodies it grows.  Raises GeometryError in odd
+    dimension, where there is no form.
     """
     if P.dim % 2 != 0:
         raise GeometryError("symplectic polarity needs even dimension")
+    if P._inside_sympolar:
+        return True, None
     rows = P.rows
-    n = len(rows) // 2 if P.symmetric else len(rows)
-    for i, x in enumerate(rows[:n]):
-        for y in rows[i + 1 : n]:
-            value, bound = omega_rows(x, y), x[-1] * y[-1]
-            if value > bound:
-                return False, (dehomogenize(x), dehomogenize(y), Fraction(value, bound))
-            if -value > bound:
-                return False, (dehomogenize(y), dehomogenize(x), Fraction(-value, bound))
-    return True, None
+    witness = _first_violation(rows[: len(rows) // 2] if P.symmetric else rows)
+    P._inside_sympolar = witness is None
+    return witness is None, witness
 
 
 def is_self_polar(P: Polytope) -> bool:
@@ -160,16 +173,31 @@ def expand_step(K: Polytope, S: Sequence[Sequence]) -> Polytope:
     is symmetric (``geometry._mirrored``); the polar's vertex rows are read
     from K's facet rows.  The hull is warm-started from K's double
     description, one slab per new antipodal pair (``geometry._grow_hull``).
-    The one check on the result also covers K subseteq K^omega and
-    omega(v, w) <= 1 on pairs of S: the result contains K and S, and the
-    bilinear form takes its maximum over it at a pair of its vertices.  A
-    failure raises ExpansionError with a violating vertex pair of the grown
-    body as witness.
+
+    The hull lies inside its polar when omega(v, w) <= 1 on every pair of
+    its vertices, each of which is a vertex of K or a point of S.  Three
+    facts cover the pairs:
+    - K inside K^omega covers the pairs of K's vertices.  It is checked
+      through ``check_subset_sympolar``, which scans K only when no earlier
+      check or step marked it, so a run of steps scans only its first K;
+      a K outside its polar raises with K's own first violating pair.
+    - S inside V(K^omega), which is tested, gives omega(v, s) <= 1 for
+      every v in K, and as -v is in K, |omega(v, s)| <= 1: the pairs of a
+      vertex of K and a point of S.
+    - The pairs of two new points are scanned on the first half of the
+      hull's vertices, as ``check_subset_sympolar`` does; the antipode of a
+      new point is new, so this finds the first violating pair, and the
+      witness, of the full scan.  A violation raises ExpansionError with
+      that pair as witness.
+    The hull is then marked as inside its polar, for the next step's check.
     """
     rows = sorted(dict.fromkeys(homogeneous(as_vec(p)) for p in S), key=_row_key)
     if not _mirrored(rows):
         raise ExpansionError("expansion set is not centrally symmetric")
     polar_rows = set(_sympolar_rows(K))
+    ok, witness = check_subset_sympolar(K)
+    if not ok:
+        raise ExpansionError(f"the body is not inside its symplectic polar: {witness}", witness)
     for r in rows:
         if r not in polar_rows:
             p = dehomogenize(r)
@@ -178,10 +206,13 @@ def expand_step(K: Polytope, S: Sequence[Sequence]) -> Polytope:
                 (p,),
             )
     grown = _grow_hull(K, rows)
-    ok, witness = check_subset_sympolar(grown)
-    if not ok:
+    known = set(K.rows)
+    half = grown.rows[: len(grown.rows) // 2]
+    witness = _first_violation([r for r in half if r not in known])
+    if witness is not None:
         raise ExpansionError(
             f"expansion produced a body outside its symplectic polar: {witness}",
             witness,
         )
+    grown._inside_sympolar = True
     return grown

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import stat
@@ -10,6 +11,7 @@ import pytest
 
 from sympolar.capacity import equal_weight_certificate, make_suspension_certificate
 import sympolar.cli
+from sympolar.experiments import SEQUENCES
 from sympolar.cli import _rational, run
 from sympolar.io import (
     MalformedInputError,
@@ -415,6 +417,13 @@ def test_cli_sequences(tmp_path, capsys):
     assert _call(tmp_path, "sequences", "--kind", "compare", "--n", "1") == 0
     assert "1/3 * pi" in capsys.readouterr().out
     assert _call(tmp_path, "sequences", "--kind", "viterbo", "--check", "50") == 0
+
+
+def test_cli_sequence_kinds_are_the_table_keys():
+    parser = sympolar.cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (kind,) = [a for a in sub.choices["sequences"]._actions if a.dest == "kind"]
+    assert list(kind.choices) == list(SEQUENCES)
 
 
 def test_cli_enumerate_pm1_dim2(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -12,7 +12,14 @@ from sympolar.experiments.pm1 import (
     maximal_cliques,
     sign_vector_pairs,
 )
-from sympolar.geometry import GeometryError, _grow_hull, convex_hull, gauge_norm, polar_dual
+from sympolar.geometry import (
+    GeometryError,
+    _grow_hull,
+    apply_linear,
+    convex_hull,
+    gauge_norm,
+    polar_dual,
+)
 from sympolar.linalg import as_vec, homogeneous, vneg
 from sympolar.suspension import power_suspend
 from sympolar.symplectic import (
@@ -27,6 +34,7 @@ from sympolar.symplectic import (
 )
 
 from conftest import random_point, random_symmetric_polytope
+from test_kernel import ref_check_subset_sympolar
 
 F = Fraction
 
@@ -235,9 +243,9 @@ def test_expand_rejects_non_polar_vertex(cross2):
 
 
 def test_expand_rejects_body_outside_its_polar(square):
-    # the square is not inside its polar, whatever S is; only the result
-    # check sees it, on the rebuilt body for S empty and on the unchanged
-    # body for (1, 0), a vertex of the square's polar inside the square
+    # the square is not inside its polar, whatever S is; the check of K
+    # rejects it before any hull is built, for S empty and for (1, 0), a
+    # vertex of the square's polar inside the square
     with pytest.raises(ExpansionError):
         expand_step(square, [])
     with pytest.raises(ExpansionError):
@@ -260,26 +268,99 @@ def test_expand_rejects_incompatible_pairs(square, cross2):
         expand_step(cross2, vecs((1, 1), (-1, -1), (1, -1), (-1, 1)))
 
 
+def _panel_start_with_incompatible_pairs():
+    """The first body of the panel run random_selfpolar(4, 10, 45) and the
+    first two antipodal pairs of its polar's vertices with |omega| > 1."""
+    points = generate.sample_start_points(random.Random(45), 4, 10)
+    K = convex_hull(points + [vneg(p) for p in points])
+    reps = [v for v in symplectic_polar(K).vertices if v > vneg(v)]
+    p, q = next((p, q) for p, q in combinations(reps, 2) if abs(omega(p, q)) > 1)
+    return K, [p, vneg(p), q, vneg(q)]
+
+
+def test_expansion_witness_is_the_full_scan_first_pair(cross2):
+    # only the pairs of two new points are scanned, yet the witness is the
+    # first violating pair of a scan over every vertex pair of the hull
+    cases = [
+        (cross2, vecs((1, 1), (-1, -1), (1, -1), (-1, 1))),
+        _panel_start_with_incompatible_pairs(),
+    ]
+    for K, S in cases:
+        with pytest.raises(ExpansionError) as excinfo:
+            expand_step(K, S)
+        ok, witness = ref_check_subset_sympolar(convex_hull(list(K.vertices) + list(S)))
+        assert not ok
+        assert excinfo.value.witness == witness
+
+
+def test_failing_body_is_never_marked(square):
+    ok, witness = check_subset_sympolar(square)
+    assert not ok
+    assert check_subset_sympolar(square) == (False, witness)
+    assert not square._inside_sympolar
+    for S in ([], [(1, 0), (-1, 0)]):
+        with pytest.raises(ExpansionError) as excinfo:
+            expand_step(square, S)
+        assert excinfo.value.witness == witness
+    assert not square._inside_sympolar
+
+
+def test_only_checked_bodies_are_marked(hexa, cross2):
+    assert check_subset_sympolar(hexa) == (True, None)
+    assert hexa._inside_sympolar
+    assert expand_step(cross2, [(1, 1), (-1, -1)])._inside_sympolar
+    flip = [[0, 1], [1, 0]]
+    copies = [convex_hull(hexa.vertices), apply_linear(flip, hexa), symplectic_polar(hexa)]
+    assert copies == [hexa] * 3
+    for P in copies + [polar_dual(hexa)]:
+        assert not P._inside_sympolar
+
+
+def _shrunk_inside_polar(poly):
+    """poly scaled by the first power of 1/2 that puts it inside its polar,
+    and the representatives v > -v of its polar's vertices."""
+    shrink = F(1, 2)
+    while True:
+        scaled = convex_hull([tuple(shrink * c for c in v) for v in poly.vertices])
+        if check_subset_sympolar(scaled)[0]:
+            break
+        shrink /= 2
+    polar = symplectic_polar(scaled)
+    return scaled, sorted({v if v > vneg(v) else vneg(v) for v in polar.vertices})
+
+
 def test_expand_output_stays_inside_polar_fuzz():
     rng = random.Random(8)
     for _ in range(15):
-        poly = random_symmetric_polytope(rng, 2)
-        # shrink until the body is contained in its own polar
-        shrink = F(1, 2)
-        while True:
-            scaled = convex_hull([tuple(shrink * c for c in v) for v in poly.vertices])
-            if check_subset_sympolar(scaled)[0]:
-                break
-            shrink /= 2
-        polar = symplectic_polar(scaled)
-        reps = sorted({v if v > vneg(v) else vneg(v) for v in polar.vertices})
+        scaled, reps = _shrunk_inside_polar(random_symmetric_polytope(rng, 2))
         rng.shuffle(reps)
         chosen = []
         for rep in reps:
             if all(abs(omega(rep, other)) <= 1 for other in chosen):
                 chosen.append(rep)
         grown = expand_step(scaled, chosen + [vneg(c) for c in chosen])
-        assert check_subset_sympolar(grown) == (True, None)
+        assert ref_check_subset_sympolar(grown) == (True, None)
+
+
+def test_expand_agrees_with_the_full_scan_fuzz():
+    # polar pairs chosen with no compatibility filter: the step raises
+    # exactly when the reference scan over every vertex pair of the hull
+    # finds a violation, with that scan's first pair as witness
+    rng = random.Random(9)
+    outcomes = []
+    for dim in (2, 4) * 6:
+        K, reps = _shrunk_inside_polar(random_symmetric_polytope(rng, dim))
+        chosen = rng.sample(reps, min(len(reps), rng.randint(1, 3)))
+        S = chosen + [vneg(c) for c in chosen]
+        ok, witness = ref_check_subset_sympolar(convex_hull(list(K.vertices) + S))
+        if ok:
+            assert ref_check_subset_sympolar(expand_step(K, S)) == (True, None)
+        else:
+            with pytest.raises(ExpansionError) as excinfo:
+                expand_step(K, S)
+            assert excinfo.value.witness == witness
+        outcomes.append(ok)
+    assert set(outcomes) == {True, False}
 
 
 # --- warm-started hull and the polar's rows ----------------------------------
